@@ -28,7 +28,6 @@ from .dynamics import (
     A_STAR,
     CycleInfo,
     Trajectory,
-    TrapezoidParam,
     c_map,
     c_map_with_limit,
     dihedral_distance,

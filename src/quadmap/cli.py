@@ -19,6 +19,7 @@ from .sampling import DEFAULT_MARGIN, sample_angle_tuple, substream
 from .solvers import (
     ChartPoint,
     SolverError,
+    c_map_slope,
     solve_cycle_system,
     solve_trapezoid_fixed_point,
     stability_report,
@@ -35,14 +36,18 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _parse_angles(text: str):
+def _parse_floats(text: str, count: int, usage: str):
     parts = text.split(",")
-    if len(parts) != 4:
-        raise QuadrangleError("--angles expects four comma-separated radians")
+    if len(parts) != count:
+        raise QuadrangleError(usage)
     try:
-        vals = [float(p) for p in parts]
+        return [float(p) for p in parts]
     except ValueError as exc:
-        raise QuadrangleError(f"bad angle value in {text!r}") from exc
+        raise QuadrangleError(f"bad number in {text!r}") from exc
+
+
+def _parse_angles(text: str):
+    vals = _parse_floats(text, 4, "--angles expects four comma-separated radians")
     return validate_angles(*vals)
 
 
@@ -55,8 +60,8 @@ def _emit(text: str, out_path):
 
 
 def _angles_json(q):
-    return {name: fmt(v) for name, v in
-            zip("alpha beta gamma delta".split(), q.as_tuple())}
+    # q is an AngleTuple or a ChartPoint; both name the four angles
+    return {name: fmt(getattr(q, name)) for name in ("alpha", "beta", "gamma", "delta")}
 
 
 def cmd_step(args) -> int:
@@ -143,29 +148,23 @@ def cmd_solve(args) -> int:
         fp = solve_trapezoid_fixed_point(
             tol=args.tol, bracket=(args.bracket_lo, args.bracket_hi))
         a = fp.attracting.solution
-        h = 1e-6
         payload = {
             "a_star": fmt(a),
             "residual": fmt(fp.attracting.residual_norm),
             "iterations": fp.attracting.iterations,
             "provenance": fp.attracting.provenance,
-            "derivative_at_a_star": fmt((c_map(a + h) - c_map(a - h)) / (2 * h)),
+            "derivative_at_a_star": fmt(c_map_slope(a)),
             "repelling_fixed_point": fmt(fp.repelling),
         }
     else:
         initial = None
         if args.initial:
-            parts = [float(p) for p in args.initial.split(",")]
-            if len(parts) != 3:
-                raise QuadrangleError("--initial expects alpha,gamma,delta")
-            initial = ChartPoint(*parts)
+            initial = ChartPoint(*_parse_floats(
+                args.initial, 3, "--initial expects alpha,gamma,delta"))
+            initial.as_angles()  # the implied beta must be a valid angle too
         result = solve_cycle_system(initial=initial, tol=args.tol)
-        sol = result.solution
         payload = {
-            "alpha": fmt(sol.alpha),
-            "beta": fmt(sol.beta),
-            "gamma": fmt(sol.gamma),
-            "delta": fmt(sol.delta),
+            **_angles_json(result.solution),
             "residual": fmt(result.residual_norm),
             "iterations": result.iterations,
             "provenance": result.provenance,
@@ -180,12 +179,7 @@ def cmd_stability(args) -> int:
     payload = {
         "map_order": report.map_order,
         "fd_step": fmt(report.fd_step),
-        "point": {
-            "alpha": fmt(report.point.alpha),
-            "beta": fmt(report.point.beta),
-            "gamma": fmt(report.point.gamma),
-            "delta": fmt(report.point.delta),
-        },
+        "point": _angles_json(report.point),
         "jacobian": [[fmt(v) for v in row] for row in report.jacobian],
         "eigenvalue_moduli": [fmt(v) for v in report.eigenvalue_moduli],
         "spectral_radius": fmt(report.spectral_radius),

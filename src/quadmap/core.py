@@ -140,6 +140,26 @@ def rotate_labels(t, k):
     return seq[k:] + seq[:k]
 
 
+# relabeling groups as index tables: an entry (i, j, k, m) relabels q as
+# (q[i], q[j], q[k], q[m]); ROTATIONS[k] is rotate_labels(q, k), and the
+# last four DIHEDRAL entries rotate the mirror reflect_labels_angles(q)
+IDENTITY = ((0, 1, 2, 3),)
+ROTATIONS = ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2))
+DIHEDRAL = ROTATIONS + ((0, 3, 2, 1), (3, 2, 1, 0), (2, 1, 0, 3), (1, 0, 3, 2))
+
+
+def relabel_distance(p, q, group) -> float:
+    """Minimum sup-norm distance between p and the relabelings of q in group.
+
+    p and q are angle or edge tuples; group is an index table such as
+    IDENTITY (plain sup norm), ROTATIONS or DIHEDRAL.
+    """
+    p0, p1, p2, p3 = p.as_tuple()
+    qt = q.as_tuple()
+    return min([max(abs(p0 - qt[i]), abs(p1 - qt[j]),
+                    abs(p2 - qt[k]), abs(p3 - qt[m])) for i, j, k, m in group])
+
+
 def reflect_labels_angles(q: AngleTuple) -> AngleTuple:
     """Mirror relabeling of angles: (alpha, beta, gamma, delta) -> (alpha, delta, gamma, beta)."""
     return AngleTuple(q.alpha, q.delta, q.gamma, q.beta)
@@ -164,12 +184,21 @@ def canonicalize(q: AngleTuple) -> CanonicalLabeling:
     raise DomainError("no canonical labeling found; input angles inconsistent")
 
 
-def _clip_tiny(v):
+def _triangle_edges(phi, psi):
+    """Edges of the perimeter-2*pi triangle with angles phi, psi, pi-phi-psi.
+
+    Returns (2*pi*sin(phi)/D, 2*pi*sin(psi)/D, 2*pi*sin(phi+psi)/D) with D
+    the sine sum: the edges opposite phi, psi and the third angle.  No
+    argument checks; the Newton trial points of the cycle solver need it
+    unvalidated.
+    """
+    s_phi, s_psi, s_sum = math.sin(phi), math.sin(psi), math.sin(phi + psi)
+    den = s_phi + s_psi + s_sum
     # degenerate boundary cases make sin() of an angle sum ~pi come out
     # as a tiny negative number
-    if -1e-12 < v < 0.0:
-        return 0.0
-    return v
+    if -1e-12 < s_sum < 0.0:
+        s_sum = 0.0
+    return TWO_PI * s_phi / den, TWO_PI * s_psi / den, TWO_PI * s_sum / den
 
 
 def degenerate_edges_first(alpha, delta) -> EdgeTuple:
@@ -182,15 +211,8 @@ def degenerate_edges_first(alpha, delta) -> EdgeTuple:
         raise DomainError("alpha and delta must lie in (0, pi)")
     if alpha + delta > math.pi + SUM_TOL:
         raise DomainError("alpha + delta must not exceed pi")
-    den = math.sin(alpha) + math.sin(delta) + math.sin(alpha + delta)
-    s = _clip_tiny(math.sin(alpha + delta))
-    return EdgeTuple(
-        TWO_PI * s / den,
-        TWO_PI * math.sin(delta) / den,
-        0.0,
-        TWO_PI * math.sin(alpha) / den,
-        degenerate=True,
-    )
+    x4, x2, x1 = _triangle_edges(alpha, delta)
+    return EdgeTuple(x1, x2, 0.0, x4, degenerate=True)
 
 
 def degenerate_edges_second(gamma, delta) -> EdgeTuple:
@@ -199,15 +221,8 @@ def degenerate_edges_second(gamma, delta) -> EdgeTuple:
         raise DomainError("gamma and delta must lie in (0, pi)")
     if gamma + delta > math.pi + SUM_TOL:
         raise DomainError("gamma + delta must not exceed pi")
-    den = math.sin(gamma) + math.sin(delta) + math.sin(gamma + delta)
-    s = _clip_tiny(math.sin(gamma + delta))
-    return EdgeTuple(
-        TWO_PI * math.sin(gamma) / den,
-        0.0,
-        TWO_PI * math.sin(delta) / den,
-        TWO_PI * s / den,
-        degenerate=True,
-    )
+    x1, x3, x4 = _triangle_edges(gamma, delta)
+    return EdgeTuple(x1, 0.0, x3, x4, degenerate=True)
 
 
 def prop1_fractions(phi, psi):
@@ -216,8 +231,8 @@ def prop1_fractions(phi, psi):
     Both are provably < 1/2 for phi, psi > 0 with phi + psi < pi; this is
     what keeps balanced edges inside (0, pi).
     """
-    den = math.sin(phi) + math.sin(psi) + math.sin(phi + psi)
-    return math.sin(phi) / den, math.sin(phi + psi) / den
+    e_phi, _, e_sum = _triangle_edges(phi, psi)
+    return e_phi / TWO_PI, e_sum / TWO_PI
 
 
 def balanced_edges(q: AngleTuple) -> EdgeTuple:

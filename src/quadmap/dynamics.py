@@ -14,12 +14,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
+    DIHEDRAL,
+    IDENTITY,
+    ROTATIONS,
     AngleTuple,
     DomainError,
     EdgeTuple,
     balanced_edges,
     reflect_labels_angles,
-    rotate_labels,
+    relabel_distance,
 )
 
 P_MAX = 8           # longest period the detector scans for
@@ -42,18 +45,6 @@ GENERAL_CYCLE_ANGLES = AngleTuple(
     1.41515953031350909799654144250,
     1.49578083925179212231325656509,
 )
-
-
-@dataclass(frozen=True)
-class TrapezoidParam:
-    """Base angle of an isosceles trapezoid state and its double-step image."""
-
-    a: float
-    c: float
-
-    def __post_init__(self):
-        if not (0.0 < self.a <= math.pi / 2 and 0.0 < self.c <= math.pi / 2):
-            raise DomainError("trapezoid parameters must lie in (0, pi/2]")
 
 
 @dataclass(frozen=True)
@@ -128,19 +119,9 @@ def general_cycle_pair():
     return q1, reflect_labels_angles(q1)
 
 
-def _sup_dist(p, q):
-    return max(abs(a - b) for a, b in zip(p.as_tuple(), q.as_tuple()))
-
-
 def dihedral_distance(p: AngleTuple, q: AngleTuple) -> float:
     """Minimum sup-norm distance over the 8 relabelings (rotations x reflection) of q."""
-    pt = p.as_tuple()
-    best = math.inf
-    for base in (q, reflect_labels_angles(q)):
-        for k in range(4):
-            rel = rotate_labels(base, k)
-            best = min(best, max(abs(a - b) for a, b in zip(pt, rel)))
-    return best
+    return relabel_distance(p, q, DIHEDRAL)
 
 
 def rotation_distance(p: AngleTuple, q: AngleTuple) -> float:
@@ -153,12 +134,7 @@ def rotation_distance(p: AngleTuple, q: AngleTuple) -> float:
     generic cycle are mirror images of each other and would collapse to
     one point.
     """
-    pt = p.as_tuple()
-    best = math.inf
-    for k in range(4):
-        rel = rotate_labels(q, k)
-        best = min(best, max(abs(a - b) for a, b in zip(pt, rel)))
-    return best
+    return relabel_distance(p, q, ROTATIONS)
 
 
 def _pair_distance(reps, pair):
@@ -210,7 +186,7 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12,
     for n in range(1, max_iter + 1):
         q = step(states[-1])
         states.append(q)
-        residuals.append(_sup_dist(q, states[-2]))
+        residuals.append(relabel_distance(q, states[-2], IDENTITY))
         for p in range(1, min(P_MAX, n) + 1):
             d = rotation_distance(states[n], states[n - p])
             last_d[p] = d

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import TWO_PI, AngleTuple
+from .core import TWO_PI, AngleTuple, DomainError
 
 DEFAULT_MARGIN = 0.05
 
@@ -17,8 +17,10 @@ def sample_angle_tuple(rng: np.random.Generator,
 
     Four independent uniforms on (margin, pi - margin) are rescaled to sum
     2*pi; draws whose rescaled components leave the margin band are
-    rejected and redrawn.
+    rejected and redrawn.  The margin must lie in [0, pi/2).
     """
+    if not 0.0 <= margin < math.pi / 2:
+        raise DomainError(f"margin {margin} must lie in [0, pi/2)")
     lo, hi = margin, math.pi - margin
     while True:
         raw = rng.uniform(lo, hi, 4)

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import TWO_PI, AngleTuple, DomainError, canonicalize
+from .core import TWO_PI, AngleTuple, DomainError, _triangle_edges, canonicalize
 from .dynamics import c_map, step
 
 # finite-difference steps: root-accuracy Jacobians vs derivative-accuracy ones
@@ -149,6 +149,22 @@ def newton_1d(fn: Callable[[float], float], x0: float,
     raise MaxIterationsError(f"newton_1d did not reach |f| <= {tol}")
 
 
+def _central_difference(fn, v, h):
+    """Central-difference Jacobian of an array map fn: R^n -> R^n at v."""
+    jac = np.empty((v.size, v.size))
+    for j in range(v.size):
+        e = np.zeros(v.size)
+        e[j] = h
+        jac[:, j] = (fn(v + e) - fn(v - e)) / (2.0 * h)
+    return jac
+
+
+def c_map_slope(a: float) -> float:
+    """Central-difference slope c'(a) of the trapezoid submap."""
+    h = STABILITY_FD_STEP
+    return (c_map(a + h) - c_map(a - h)) / (2.0 * h)
+
+
 def solve_trapezoid_fixed_point(tol: float = 1e-13,
                                 bracket=TRAPEZOID_BRACKET) -> TrapezoidFixedPoints:
     """The nontrivial root of c(a) = a, plus the analytic fixed point pi/2.
@@ -177,13 +193,10 @@ def cycle_system_rhs(p: ChartPoint) -> ChartPoint:
     equal alpha, delta and gamma respectively, i.e. that one step of the
     map produces the mirror relabeling of the state.
     """
-    a, g, d = p.alpha, p.gamma, p.delta
-    den1 = math.sin(a) + math.sin(d) + math.sin(a + d)
-    den2 = math.sin(g) + math.sin(d) + math.sin(g + d)
-    r_alpha = math.pi * math.sin(a + d) / den1 + math.pi * math.sin(g) / den2
-    r_delta = math.pi * math.sin(d) / den1
-    r_gamma = math.pi * math.sin(d) / den2
-    return ChartPoint(r_alpha, r_gamma, r_delta)
+    # halved endpoint sums, as balanced_edges forms them for a canonical state
+    _, first_x2, first_x1 = _triangle_edges(p.alpha, p.delta)
+    second_x1, second_x3, _ = _triangle_edges(p.gamma, p.delta)
+    return ChartPoint((first_x1 + second_x1) / 2.0, second_x3 / 2.0, first_x2 / 2.0)
 
 
 def _cycle_residual(v):
@@ -229,13 +242,8 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
     for it in range(1, max_iter + 1):
         if norm <= tol:
             return SolveResult(ChartPoint(*v), float(norm), it - 1, True, provenance)
-        jac = np.empty((3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            jac[:, j] = (_cycle_residual(v + e) - _cycle_residual(v - e)) / (2.0 * h)
         try:
-            s = np.linalg.solve(jac, -res)
+            s = np.linalg.solve(_central_difference(_cycle_residual, v, h), -res)
         except np.linalg.LinAlgError as exc:
             raise DerivativeVanishesError("singular Newton Jacobian") from exc
         lam = 1.0
@@ -272,85 +280,17 @@ def fd_jacobian(chart_map: Callable[[ChartPoint], ChartPoint],
     angles = (p.alpha, p.beta, p.gamma, p.delta)
     if any(a <= h or a >= math.pi - h for a in angles):
         raise BoundaryTooCloseError("chart point within h of the domain boundary")
-    v = p.as_array()
-    jac = np.empty((3, 3))
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        plus = chart_map(ChartPoint(*(v + e))).as_array()
-        minus = chart_map(ChartPoint(*(v - e))).as_array()
-        jac[:, j] = (plus - minus) / (2.0 * h)
+    jac = _central_difference(lambda v: chart_map(ChartPoint(*v)).as_array(),
+                              p.as_array(), h)
     if not np.all(np.isfinite(jac)):
         raise NonFiniteError("Jacobian has non-finite entries")
     return jac
 
 
-def _cbrt(x):
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-def _polish_real_root(p2, p1, p0, x):
-    # a couple of Newton steps on the monic cubic tightens closed-form roots
-    for _ in range(3):
-        f = ((x + p2) * x + p1) * x + p0
-        d = (3.0 * x + 2.0 * p2) * x + p1
-        if d == 0.0:
-            break
-        x -= f / d
-    return x
-
-
 def eigenvalue_moduli_3x3(m) -> tuple:
-    """Moduli of the eigenvalues of a real 3x3 matrix, sorted descending.
-
-    Solves the characteristic cubic in closed form: trigonometric branch
-    for three real roots, Cardano plus a quadratic factor for one real
-    root and a conjugate pair.
-    """
-    m = np.asarray(m, dtype=float)
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    tr2 = np.trace(m @ m)
-    det = float(np.linalg.det(m))
-    # monic cubic x^3 + p2 x^2 + p1 x + p0
-    p2 = -tr
-    p1 = 0.5 * (tr * tr - tr2)
-    p0 = -det
-
-    # depressed form t^3 + a t + b, x = t - p2/3
-    shift = p2 / 3.0
-    a = p1 - p2 * p2 / 3.0
-    b = 2.0 * p2 ** 3 / 27.0 - p2 * p1 / 3.0 + p0
-    disc = -4.0 * a ** 3 - 27.0 * b ** 2
-
-    if disc >= 0.0 and a < 0.0:
-        # three real roots
-        r = 2.0 * math.sqrt(-a / 3.0)
-        arg = 3.0 * b / (a * r)
-        arg = max(-1.0, min(1.0, arg))
-        phi = math.acos(arg)
-        roots = []
-        for k in range(3):
-            t = r * math.cos((phi - 2.0 * math.pi * k) / 3.0)
-            roots.append(_polish_real_root(p2, p1, p0, t - shift))
-        moduli = [abs(x) for x in roots]
-    else:
-        # one real root via Cardano
-        q = math.sqrt(max(b * b / 4.0 + a ** 3 / 27.0, 0.0))
-        u = _cbrt(-b / 2.0 + q)
-        w = _cbrt(-b / 2.0 - q)
-        t0 = u + w
-        x0 = _polish_real_root(p2, p1, p0, t0 - shift)
-        # deflate: remaining quadratic x^2 + c1 x + c0
-        c1 = p2 + x0
-        c0 = p1 + x0 * c1
-        quad_disc = c1 * c1 - 4.0 * c0
-        if quad_disc >= 0.0:
-            s = math.sqrt(quad_disc)
-            moduli = [abs(x0), abs((-c1 + s) / 2.0), abs((-c1 - s) / 2.0)]
-        else:
-            pair = math.sqrt(c0)
-            moduli = [abs(x0), pair, pair]
-    return tuple(sorted((float(m) for m in moduli), reverse=True))
+    """Moduli of the eigenvalues of a real 3x3 matrix, sorted descending."""
+    moduli = np.abs(np.linalg.eigvals(np.asarray(m, dtype=float)))
+    return tuple(sorted((float(x) for x in moduli), reverse=True))
 
 
 def stability_report(q: AngleTuple, map_order: int = 1,

@@ -13,15 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import AngleTuple, balanced_edges, balanced_edges_oracle, canonicalize
-from .core import prop1_fractions, realize_polygon, reflect_labels_angles, rotate_labels
+from .core import IDENTITY, ROTATIONS, AngleTuple, balanced_edges, balanced_edges_oracle
+from .core import canonicalize, prop1_fractions, realize_polygon, reflect_labels_angles
+from .core import relabel_distance, rotate_labels
 from .dynamics import (
+    A_STAR,
     C_AT_ZERO,
     GENERAL_CYCLE_ANGLES,
     SQUARE,
+    _pair_distance,
     c_map,
     c_map_with_limit,
-    dihedral_distance,
     iterate,
     rotation_distance,
     step,
@@ -31,19 +33,12 @@ from .dynamics import (
 from .sampling import sample_angle_tuple, substream
 from .solvers import (
     ChartPoint,
+    c_map_slope,
     cycle_system_rhs,
     fd_jacobian,
     solve_cycle_system,
     solve_trapezoid_fixed_point,
     stability_report,
-)
-
-PAPER_A_STAR = 1.48342158769377952440379165224
-PAPER_CYCLE = (
-    1.54819305248669225152933985324,
-    1.82405188512759300508614890573,
-    1.41515953031350909799654144250,
-    1.49578083925179212231325656509,
 )
 
 
@@ -54,18 +49,14 @@ class CheckResult:
     detail: str
 
 
-def _sup(p, q):
-    return max(abs(a - b) for a, b in zip(p.as_tuple(), q.as_tuple()))
-
-
 def check_square_fixed_point() -> CheckResult:
-    d = _sup(step(SQUARE), SQUARE)
+    d = relabel_distance(step(SQUARE), SQUARE, IDENTITY)
     return CheckResult("square fixed point", d <= 1e-12, f"sup deviation {d:.3e}")
 
 
 def check_trapezoid_fixed_point() -> CheckResult:
     fp = solve_trapezoid_fixed_point(tol=1e-13)
-    err = abs(fp.attracting.solution - PAPER_A_STAR)
+    err = abs(fp.attracting.solution - A_STAR)
     return CheckResult(
         "trapezoid fixed point a*",
         fp.attracting.converged and err <= 1e-12,
@@ -74,10 +65,8 @@ def check_trapezoid_fixed_point() -> CheckResult:
 
 
 def check_slope_at_fixed_point() -> CheckResult:
-    h = 1e-6
     fp = solve_trapezoid_fixed_point(tol=1e-13)
-    a = fp.attracting.solution
-    slope = (c_map(a + h) - c_map(a - h)) / (2.0 * h)
+    slope = c_map_slope(fp.attracting.solution)
     return CheckResult(
         "submap slope at a*",
         0.75 <= slope <= 0.85,
@@ -101,8 +90,8 @@ def check_general_cycle_solution() -> CheckResult:
     result = solve_cycle_system(tol=1e-12)
     sol = result.solution
     got = (sol.alpha, sol.beta, sol.gamma, sol.delta)
-    err = max(abs(a - b) for a, b in zip(got, PAPER_CYCLE))
-    p = ChartPoint(PAPER_CYCLE[0], PAPER_CYCLE[2], PAPER_CYCLE[3])
+    err = max(abs(a - b) for a, b in zip(got, GENERAL_CYCLE_ANGLES.as_tuple()))
+    p = ChartPoint.from_angles(GENERAL_CYCLE_ANGLES)
     residual = float(np.max(np.abs(cycle_system_rhs(p).as_array() - p.as_array())))
     ok = result.converged and err <= 1e-9 and residual < 1e-9
     return CheckResult(
@@ -115,7 +104,7 @@ def check_general_cycle_solution() -> CheckResult:
 def check_cycle_dynamics() -> CheckResult:
     sol = solve_cycle_system(tol=1e-12).solution
     q = sol.as_angles()
-    d1 = _sup(step(q), reflect_labels_angles(q))
+    d1 = relabel_distance(step(q), reflect_labels_angles(q), IDENTITY)
     # a double step returns to a cyclic relabeling of the start; compare
     # in the rotation quotient, where the paper's quadrangles live
     d2 = rotation_distance(step(step(q)), q)
@@ -154,12 +143,7 @@ def check_trapezoid_basin() -> CheckResult:
         if traj.cycle is None or traj.cycle.period != 2:
             return CheckResult("trapezoid basin", False,
                                f"seed a={a:.3f} gave {traj.classification}")
-        r0, r1 = traj.cycle.representative_states
-        d = min(
-            max(dihedral_distance(r0, pair[0]), dihedral_distance(r1, pair[1])),
-            max(dihedral_distance(r0, pair[1]), dihedral_distance(r1, pair[0])),
-        )
-        worst = max(worst, d)
+        worst = max(worst, _pair_distance(traj.cycle.representative_states, pair))
     return CheckResult("trapezoid basin", worst < 1e-5,
                        f"worst distance to displayed pair {worst:.3e}")
 
@@ -171,7 +155,7 @@ def check_oracle_equivalence(samples: int = 1000, seed: int = 7) -> CheckResult:
         q = sample_angle_tuple(rng)
         e = balanced_edges(q)
         mid, _ = balanced_edges_oracle(q)
-        worst_mid = max(worst_mid, _sup(e, mid))
+        worst_mid = max(worst_mid, relabel_distance(e, mid, IDENTITY))
         worst_gap = max(worst_gap, realize_polygon(q, e).closure_gap)
     ok = worst_mid <= 1e-10 and worst_gap <= 1e-9
     return CheckResult(
@@ -208,10 +192,10 @@ def check_property_suite(seed: int = 11) -> CheckResult:
         worst_sum = max(worst_sum, abs(sum(e.as_tuple()) - core.TWO_PI))
         k = int(rng.integers(4))
         rot = balanced_edges(AngleTuple(*rotate_labels(q, k)))
-        worst_rot = max(worst_rot, max(
-            abs(a - b) for a, b in zip(rot.as_tuple(), rotate_labels(e, k))))
+        worst_rot = max(worst_rot, relabel_distance(rot, e, (ROTATIONS[k],)))
         refl = balanced_edges(reflect_labels_angles(q))
-        worst_refl = max(worst_refl, _sup(refl, core.reflect_labels_edges(e)))
+        worst_refl = max(worst_refl,
+                         relabel_distance(refl, core.reflect_labels_edges(e), IDENTITY))
     ok &= worst_half <= math.pi / 2 + 1e-12
     ok &= over_half_max <= 2
     ok &= worst_rot <= 1e-10 and worst_refl <= 1e-10 and worst_sum <= 1e-9

@@ -1,5 +1,6 @@
 import json
 import math
+import signal
 
 import pytest
 
@@ -16,6 +17,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_bounded(capsys, seconds, *argv):
+    """Run main in-process; a SIGALRM after `seconds` turns a hang into a failure."""
+    def hang(signum, frame):
+        raise TimeoutError(f"main{argv} still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        code = main(list(argv))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, capsys.readouterr().err
 
 
 class TestStep:
@@ -133,6 +149,14 @@ class TestBasin:
             assert fields[5] in {"general_2cycle", "trapezoid_2cycle",
                                  "square_fixed", "other_cycle", "no_convergence"}
 
+    @pytest.mark.parametrize("margin", [repr(PI / 2), "1.6", "nan"])
+    def test_bad_margin_exit_2(self, capsys, margin):
+        # margin = pi/2 used to spin forever in the rejection sampler
+        code, err = run_bounded(capsys, 10, "basin", "--samples", "1",
+                                "--margin", margin)
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_different_seeds_differ(self, capsys):
         _, out1 = run(capsys, "basin", "--samples", "5", "--seed", "1")
         _, out2 = run(capsys, "basin", "--samples", "5", "--seed", "2")
@@ -160,6 +184,13 @@ class TestSolve:
 
     def test_cycle_bad_initial_exit_2(self, capsys):
         assert main(["solve", "cycle", "--initial", "1.0,2.0"]) == 2
+
+    @pytest.mark.parametrize("initial", ["a,b,c", "3,3,3"])
+    def test_cycle_invalid_initial_exit_2(self, capsys, initial):
+        # a non-number, and a start whose implied beta is negative
+        code, err = run_bounded(capsys, 30, "solve", "cycle", "--initial", initial)
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestStability:

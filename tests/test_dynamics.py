@@ -135,6 +135,15 @@ class TestDihedralDistance:
         assert d == pytest.approx(expected, abs=1e-15)
         assert d >= abs(1.82405 - PI / 2) - 1e-5
 
+    def test_equals_brute_force_minimum(self, rng):
+        for _ in range(500):
+            p, q = sample_angle_tuple(rng), sample_angle_tuple(rng)
+            rotations = [sup(p, rotate_labels(q, k)) for k in range(4)]
+            mirrored = [sup(p, rotate_labels(reflect_labels_angles(q), k))
+                        for k in range(4)]
+            assert rotation_distance(p, q) == min(rotations)
+            assert dihedral_distance(p, q) == min(rotations + mirrored)
+
     def test_mirror_pair_collapses_dihedral_not_rotation(self):
         q1, q2 = general_cycle_pair()
         assert dihedral_distance(q1, q2) == 0.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quadmap.core import DomainError
+from quadmap.core import DomainError, balanced_edges, canonicalize
 from quadmap.dynamics import A_STAR, GENERAL_CYCLE_ANGLES, SQUARE, c_map
 from quadmap.solvers import (
     ChartPoint,
@@ -96,6 +96,15 @@ class TestCycleSystem:
         res = cycle_system_rhs(p).as_array() - p.as_array()
         assert np.max(np.abs(res)) < 1e-9
 
+    def test_rhs_is_balanced_edges_of_canonical_state(self, random_angles):
+        # the relations read x1, x3, x2 of the balanced edges, bit for bit
+        for q in random_angles:
+            can = canonicalize(q).rotated
+            assert canonicalize(can).rotation_offset == 0
+            e = balanced_edges(can)
+            r = cycle_system_rhs(ChartPoint.from_angles(can))
+            assert (r.alpha, r.gamma, r.delta) == (e.x1, e.x3, e.x2)
+
     def test_explicit_initial(self):
         r = solve_cycle_system(initial=ChartPoint(1.5, 1.4, 1.5), tol=1e-12)
         assert r.converged
@@ -154,6 +163,24 @@ class TestEigenvalueModuli:
         m[2, 2] = s
         assert eigenvalue_moduli_3x3(m) == pytest.approx(
             (abs(s), 1.0, 1.0), abs=1e-10)
+
+    def test_product_is_abs_determinant(self, rng):
+        for _ in range(1000):
+            m = rng.uniform(-1.0, 1.0, (3, 3))
+            assert math.prod(eigenvalue_moduli_3x3(m)) == pytest.approx(
+                abs(np.linalg.det(m)), rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("roots, moduli", [
+        ((1.5, -0.8, 0.3), (1.5, 0.8, 0.3)),
+        ((0.9, 0.6 + 0.7j, 0.6 - 0.7j), (math.hypot(0.6, 0.7),) * 2 + (0.9,)),
+    ])
+    def test_companion_matrix_roots(self, roots, moduli):
+        # companion matrix of the monic cubic with these roots: ones on the
+        # subdiagonal, minus the coefficients (c0, c1, c2) in the last column
+        coeffs = np.real(np.poly(roots))
+        m = np.diag(np.ones(2), -1)
+        m[:, 2] = -coeffs[:0:-1]
+        assert eigenvalue_moduli_3x3(m) == pytest.approx(moduli, abs=1e-12)
 
     def test_against_qr_oracle(self, rng):
         worst = 0.0
