@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 
 from .core import QuadrangleError, validate_angles
-from .dynamics import c_map, iterate, step
+from .dynamics import P_MAX, c_map, iterate, rotation_distance, step
 from .sampling import DEFAULT_MARGIN, sample_angle_tuple, substream
 from .solvers import (
     ChartPoint,
@@ -126,8 +126,9 @@ def cmd_basin(args) -> int:
         traj = iterate(q0, max_iter=args.max_iter, tol=args.tol)
         cls = traj.classification
         counts[cls] += 1
-        residual = traj.cycle.residual if traj.cycle else (
-            traj.residuals[-1] if traj.residuals else math.inf)
+        # unconverged: the detector's distance, minimised over periods 1..P_MAX
+        residual = traj.cycle.residual if traj.cycle else min(
+            rotation_distance(traj.states[-1], s) for s in traj.states[-1 - P_MAX:-1])
         match = traj.cycle.match_distance if traj.cycle else math.inf
         lines.append(",".join([
             str(i),

@@ -170,6 +170,15 @@ def reflect_labels_edges(e: EdgeTuple) -> EdgeTuple:
     return EdgeTuple(e.x2, e.x1, e.x4, e.x3, degenerate=e.degenerate)
 
 
+def _canonical_shift(t):
+    """The shift canonicalize picks for the float 4-tuple t, or None if there is none."""
+    for r in range(4):
+        a, _, g, d = t[r:] + t[:r]
+        if d + a <= math.pi + SUM_TOL and g + d <= math.pi + SUM_TOL:
+            return r
+    return None
+
+
 def canonicalize(q: AngleTuple) -> CanonicalLabeling:
     """Smallest cyclic shift with delta+alpha <= pi and gamma+delta <= pi.
 
@@ -177,11 +186,10 @@ def canonicalize(q: AngleTuple) -> CanonicalLabeling:
     s1+s3 = s2+s4 = 2*pi, which forces a vertex whose two adjacent sums
     are both <= pi.  Boundary equalities are admitted within SUM_TOL.
     """
-    for r in range(4):
-        a, b, g, d = rotate_labels(q, r)
-        if d + a <= math.pi + SUM_TOL and g + d <= math.pi + SUM_TOL:
-            return CanonicalLabeling(r, AngleTuple(a, b, g, d))
-    raise DomainError("no canonical labeling found; input angles inconsistent")
+    r = _canonical_shift(q.as_tuple())
+    if r is None:
+        raise DomainError("no canonical labeling found; input angles inconsistent")
+    return CanonicalLabeling(r, AngleTuple(*rotate_labels(q, r)))
 
 
 def _triangle_edges(phi, psi):
@@ -248,6 +256,35 @@ def balanced_edges(q: AngleTuple) -> EdgeTuple:
     mid = tuple((u + v) / 2.0 for u, v in zip(first, second))
     back = rotate_labels(mid, -can.rotation_offset)
     return EdgeTuple(*back)
+
+
+def _balanced_edge_floats(q):
+    """step(AngleTuple(*q)).as_tuple() on plain floats, for q a valid angle 4-tuple.
+
+    Same operations in the same order as balanced_edges, so bitwise equal;
+    endpoint and image checks raise what the validated types would.
+    """
+    r = _canonical_shift(q)
+    if r is None:
+        raise DomainError("no canonical labeling found; input angles inconsistent")
+    a, _, g, d = q[r:] + q[:r]
+    x4f, x2f, x1f = _triangle_edges(a, d)
+    x1s, x3s, x4s = _triangle_edges(g, d)
+    hi = math.pi + 1e-12
+    for e1, e2, e3 in ((x1f, x2f, x4f), (x1s, x3s, x4s)):
+        if not (0.0 <= e1 < hi and 0.0 <= e2 < hi and 0.0 <= e3 < hi):
+            raise OutOfRangeError(f"degenerate endpoint {(e1, e2, e3)} outside edge range")
+        if abs(e1 + e2 + e3 - TWO_PI) > SUM_TOL:
+            raise SumMismatchError(f"degenerate endpoint {(e1, e2, e3)} does not sum to 2*pi")
+    mid = ((x1f + x1s) / 2.0, (x2f + 0.0) / 2.0, (0.0 + x3s) / 2.0, (x4f + x4s) / 2.0)
+    k = -r % 4
+    o1, o2, o3, o4 = out = mid[k:] + mid[:k]
+    if not (0.0 < o1 < math.pi and 0.0 < o2 < math.pi
+            and 0.0 < o3 < math.pi and 0.0 < o4 < math.pi):
+        raise OutOfRangeError(f"image {out} must lie strictly inside (0, pi)")
+    if abs(o1 + o2 + o3 + o4 - TWO_PI) > SUM_TOL:
+        raise SumMismatchError(f"image {out} does not sum to 2*pi")
+    return out
 
 
 def _edge_headings(q: AngleTuple):

@@ -15,11 +15,11 @@ from typing import Optional
 
 from .core import (
     DIHEDRAL,
-    IDENTITY,
     ROTATIONS,
     AngleTuple,
     DomainError,
     EdgeTuple,
+    _balanced_edge_floats,
     balanced_edges,
     reflect_labels_angles,
     relabel_distance,
@@ -164,6 +164,16 @@ def _classify(reps, period, match_tol):
     return "other_cycle", math.inf
 
 
+def _rotation_within(p, q, tol) -> bool:
+    """rotation_distance(p, q) < tol on float 4-tuples, stopping at the first miss."""
+    p0, p1, p2, p3 = p
+    for i, j, k, m in ROTATIONS:
+        if (abs(p0 - q[i]) < tol and abs(p1 - q[j]) < tol
+                and abs(p2 - q[k]) < tol and abs(p3 - q[m]) < tol):
+            return True
+    return False
+
+
 def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12,
             match_tol: float = MATCH_TOL) -> Trajectory:
     """Iterate the map with cycle detection.
@@ -177,30 +187,32 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12,
     """
     if max_iter < 1:
         raise DomainError("max_iter must be >= 1")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError("tol must be positive")
-    states = [q0]
+    states = [q0.as_tuple()]
     residuals = []
     streak = [0] * (P_MAX + 1)
-    last_d = [math.inf] * (P_MAX + 1)
     for n in range(1, max_iter + 1):
-        q = step(states[-1])
+        prev = states[-1]
+        q = _balanced_edge_floats(prev)
         states.append(q)
-        residuals.append(relabel_distance(q, states[-2], IDENTITY))
+        residuals.append(max(abs(q[0] - prev[0]), abs(q[1] - prev[1]),
+                             abs(q[2] - prev[2]), abs(q[3] - prev[3])))
         for p in range(1, min(P_MAX, n) + 1):
-            d = rotation_distance(states[n], states[n - p])
-            last_d[p] = d
-            streak[p] = streak[p] + 1 if d < tol else 0
-        for p in range(1, P_MAX + 1):
+            streak[p] = streak[p] + 1 if _rotation_within(q, states[n - p], tol) else 0
             if streak[p] >= CONFIRMATIONS:
-                reps = tuple(states[-p:])
-                classification, match = _classify(reps, p, match_tol)
-                cycle = CycleInfo(
-                    period=p,
-                    representative_states=reps,
-                    classification=classification,
-                    residual=last_d[p],
-                    match_distance=match,
-                )
-                return Trajectory(tuple(states), tuple(residuals), cycle)
-    return Trajectory(tuple(states), tuple(residuals), None)
+                return _trajectory(q0, states, residuals, p, match_tol)
+    return _trajectory(q0, states, residuals, None, match_tol)
+
+
+def _trajectory(q0, states, residuals, period, match_tol):
+    # iterate's API boundary: float states become AngleTuples, and cycle
+    # representatives are images under the public step, checking the kernel
+    states = (q0,) + tuple(AngleTuple(*s) for s in states[1:])
+    if period is None:
+        return Trajectory(states, tuple(residuals), None)
+    reps = tuple(step(s) for s in states[-period - 1:-1])
+    classification, match = _classify(reps, period, match_tol)
+    residual = rotation_distance(states[-1], states[-1 - period])
+    cycle = CycleInfo(period, reps, classification, residual, match)
+    return Trajectory(states, tuple(residuals), cycle)

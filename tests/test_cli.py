@@ -93,6 +93,18 @@ class TestCycle:
         assert json.loads(out)["classification"] == "no_convergence"
 
 
+@pytest.mark.parametrize("argv", [
+    ("cycle", "--angles", "1.2,2.1,1.5,1.4831853071795865"),
+    ("iterate", "--angles", "1.2,2.1,1.5,1.4831853071795865"),
+    ("basin", "--samples", "1"),
+])
+def test_nan_tol_exit_2(capsys, argv):
+    # d < nan never holds, so a NaN tolerance used to spend the whole budget
+    code, err = run_bounded(capsys, 10, *argv, "--tol", "nan")
+    assert code == 2
+    assert err.startswith("error:")
+
+
 class TestCurve:
     def test_endpoint_and_monotone(self, capsys):
         code, out = run(capsys, "curve", "--from", "1.4",
@@ -156,6 +168,17 @@ class TestBasin:
                                 "--margin", margin)
         assert code == 2
         assert err.startswith("error:")
+
+    def test_unconverged_residual_is_detector_distance(self, capsys):
+        # orbits cut at 300 steps sit on their 2-cycle: the residual column
+        # holds the rotation-quotient distance to a state up to P_MAX steps
+        # back, not the ~0.4 one-step move
+        code, out = run(capsys, "basin", "--samples", "3", "--max-iter", "300")
+        assert code == 0
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:-1]]
+        assert [r[5] for r in rows] == ["no_convergence"] * 3
+        for r in rows:
+            assert float(r[7]) < 1e-9
 
     def test_different_seeds_differ(self, capsys):
         _, out1 = run(capsys, "basin", "--samples", "5", "--seed", "1")

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import quadmap.core as core
 from quadmap.core import (
     TWO_PI,
     AngleTuple,
@@ -23,6 +24,8 @@ from quadmap.core import (
     rotate_labels,
     validate_angles,
 )
+from quadmap.dynamics import step
+from quadmap.sampling import sample_angle_tuple
 
 from conftest import sup
 
@@ -181,6 +184,35 @@ class TestBalancedEdges:
             lhs = balanced_edges(reflect_labels_angles(q))
             rhs = reflect_labels_edges(balanced_edges(q))
             assert sup(lhs, rhs) <= 1e-10
+
+
+class TestBalancedEdgeFloats:
+    """The float kernel behind iterate against the validated public step."""
+
+    @pytest.mark.parametrize("margin", [0.05, 1e-3, 0.0])
+    def test_bitwise_equal_to_step(self, rng, margin):
+        for _ in range(20000):
+            q = sample_angle_tuple(rng, margin=margin)
+            assert core._balanced_edge_floats(q.as_tuple()) == step(q).as_tuple()
+
+    def test_no_canonical_shift_is_domain_error(self):
+        with pytest.raises(DomainError):
+            core._balanced_edge_floats((3.0, 3.0, 3.0, 3.0))
+
+    @pytest.mark.parametrize("triangle, error", [
+        ((-0.1, 3.0, TWO_PI - 2.9), OutOfRangeError),   # endpoint edge < 0
+        ((1.0, 1.0, 1.0), SumMismatchError),             # endpoint sum off 2*pi
+        ((PI, 0.0, PI), OutOfRangeError),                # image edge 0 and pi
+    ])
+    def test_endpoint_and_image_checks_match_step(self, monkeypatch, triangle, error):
+        # a corrupted triangle kernel feeds both paths the same endpoints;
+        # the float kernel must reject them like step's validated types
+        monkeypatch.setattr(core, "_triangle_edges", lambda phi, psi: triangle)
+        q = validate_angles(*SQUARE)
+        with pytest.raises(error):
+            step(q)
+        with pytest.raises(error):
+            core._balanced_edge_floats(q.as_tuple())
 
 
 class TestOracle:

@@ -2,18 +2,28 @@ import math
 
 import pytest
 
+import quadmap.core as core
 from quadmap.core import (
+    IDENTITY,
     AngleTuple,
+    EdgeTuple,
     reflect_labels_angles,
+    relabel_distance,
     rotate_labels,
     validate_angles,
 )
 from quadmap.dynamics import (
     A_STAR,
     C_AT_ZERO,
+    CONFIRMATIONS,
     GENERAL_CYCLE_ANGLES,
+    MATCH_TOL,
+    P_MAX,
     SQUARE,
+    CycleInfo,
     DomainError,
+    Trajectory,
+    _classify,
     c_map,
     c_map_with_limit,
     dihedral_distance,
@@ -25,7 +35,7 @@ from quadmap.dynamics import (
     trapezoid_cycle_pair,
     trapezoid_edges,
 )
-from quadmap.sampling import sample_angle_tuple
+from quadmap.sampling import sample_angle_tuple, substream
 
 from conftest import sup
 
@@ -197,6 +207,72 @@ class TestIterate:
         for _ in range(traj.cycle.period):
             q = step(q)
         assert rotation_distance(q, reps[0]) < 1e-11
+
+
+def reference_iterate(q0, max_iter=10000, tol=1e-12):
+    """Reference for iterate on the validated path: public step, the full
+    rotation_distance for every period at every step, CONFIRMATIONS streaks."""
+    states, residuals = [q0], []
+    streak = [0] * (P_MAX + 1)
+    last_d = [math.inf] * (P_MAX + 1)
+    for n in range(1, max_iter + 1):
+        states.append(step(states[-1]))
+        residuals.append(relabel_distance(states[-1], states[-2], IDENTITY))
+        for p in range(1, min(P_MAX, n) + 1):
+            last_d[p] = rotation_distance(states[n], states[n - p])
+            streak[p] = streak[p] + 1 if last_d[p] < tol else 0
+        for p in range(1, P_MAX + 1):
+            if streak[p] >= CONFIRMATIONS:
+                reps = tuple(states[-p:])
+                classification, match = _classify(reps, p, MATCH_TOL)
+                cycle = CycleInfo(p, reps, classification, last_d[p], match)
+                return Trajectory(tuple(states), tuple(residuals), cycle)
+    return Trajectory(tuple(states), tuple(residuals), None)
+
+
+def _reference_cases():
+    starts = [sample_angle_tuple(substream(2024, i), margin=(0.05, 1e-3, 0.0)[i % 3])
+              for i in range(12)]
+    cases = [pytest.param(q0, {}, id=f"sample{i}") for i, q0 in enumerate(starts)]
+    cases += [pytest.param(q0, {"max_iter": 120}, id=f"sample{i}-cut120")
+              for i, q0 in enumerate(starts[:4])]
+    cases += [pytest.param(q0, {"tol": 1e-9}, id=f"sample{i}-tol1e-9")
+              for i, q0 in enumerate(starts[:4])]
+    cases += [pytest.param(trapezoid_angles(a), {}, id=f"trapezoid{a:.3f}")
+              for a in (0.3, 0.8, 1.2, 1.5, PI / 2)]
+    cases += [pytest.param(SQUARE, {}, id="square"),
+              pytest.param(validate_angles(1.2, 2.1, 1.5, 2 * PI - 4.8),
+                           {"max_iter": 50}, id="generic-cut50")]
+    return cases
+
+
+@pytest.mark.parametrize("q0, kwargs", _reference_cases())
+def test_iterate_equals_reference_loop(q0, kwargs):
+    # dataclass equality compares the floats exactly: states, residuals,
+    # period, representatives, classification, residual and match distance
+    assert iterate(q0, **kwargs) == reference_iterate(q0, **kwargs)
+
+
+def test_representatives_show_a_corrupted_public_kernel(monkeypatch):
+    # iterate's loop runs on its own float kernel; its representatives are
+    # images under the public step, so a corrupted degenerate constructor
+    # still shows on every classified orbit
+    original = core.degenerate_edges_first
+
+    def broken(alpha, delta):
+        e = original(alpha, delta)
+        return EdgeTuple(e.x1, e.x4, e.x3, e.x2, degenerate=True)
+
+    q0 = validate_angles(1.2, 2.1, 1.5, 2 * PI - 4.8)
+    assert iterate(q0).classification == "general_2cycle"
+    monkeypatch.setattr(core, "degenerate_edges_first", broken)
+    assert iterate(q0).classification != "general_2cycle"
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
+def test_iterate_rejects_non_positive_tol(tol):
+    with pytest.raises(DomainError):
+        iterate(SQUARE, tol=tol)
 
 
 def test_trapezoid_family_invariance(rng):
