@@ -20,7 +20,6 @@ from .core import (
     realize_polygon,
     reflect_labels_angles,
     reflect_labels_edges,
-    renormalize_sum,
     rotate_labels,
     validate_angles,
 )
@@ -29,7 +28,6 @@ from .dynamics import (
     CycleInfo,
     Trajectory,
     c_map,
-    c_map_with_limit,
     dihedral_distance,
     iterate,
     rotation_distance,

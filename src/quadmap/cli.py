@@ -18,6 +18,8 @@ from .dynamics import P_MAX, c_map, iterate, rotation_distance, step
 from .sampling import DEFAULT_MARGIN, sample_angle_tuple, substream
 from .solvers import (
     ChartPoint,
+    STABILITY_FD_STEP,
+    TRAPEZOID_BRACKET,
     SolverError,
     c_map_slope,
     solve_cycle_system,
@@ -53,8 +55,11 @@ def _parse_angles(text: str):
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise QuadrangleError(f"cannot write {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -256,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="fixed-point / cycle-system solvers")
     p.add_argument("target", choices=("trapezoid", "cycle"))
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--bracket-lo", type=float, default=1.4)
-    p.add_argument("--bracket-hi", type=float, default=1.5)
+    p.add_argument("--bracket-lo", type=float, default=TRAPEZOID_BRACKET[0])
+    p.add_argument("--bracket-hi", type=float, default=TRAPEZOID_BRACKET[1])
     p.add_argument("--initial", default=None,
                    help="alpha,gamma,delta starting point for the cycle system")
     p.add_argument("--out", default=None)
@@ -266,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="Jacobian spectrum at a state")
     common(p, tol=False)
     p.add_argument("--order", type=int, choices=(1, 2), default=1)
-    p.add_argument("--h", type=float, default=1e-6)
+    p.add_argument("--h", type=float, default=STABILITY_FD_STEP)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("verify", help="reproduce every published constant")

@@ -125,14 +125,6 @@ def validate_angles(alpha, beta, gamma, delta) -> AngleTuple:
     return AngleTuple(float(alpha), float(beta), float(gamma), float(delta))
 
 
-def renormalize_sum(values):
-    """Rescale a 4-tuple so its components sum to exactly 2*pi (sampling aid)."""
-    s = sum(values)
-    if s <= 0.0:
-        raise DomainError("cannot renormalize a tuple with non-positive sum")
-    return tuple(v * TWO_PI / s for v in values)
-
-
 def rotate_labels(t, k):
     """Cyclic shift of a 4-tuple by k positions: (t[k], t[k+1], ...)."""
     seq = t.as_tuple() if hasattr(t, "as_tuple") else tuple(t)

@@ -59,7 +59,6 @@ class CycleInfo:
 @dataclass(frozen=True)
 class Trajectory:
     states: tuple
-    residuals: tuple
     cycle: Optional[CycleInfo]
 
     @property
@@ -78,14 +77,6 @@ def c_map(a: float) -> float:
         raise DomainError("c_map requires a in (0, pi/2]")
     theta = math.pi / (2.0 + 2.0 * math.cos(a))
     return math.pi / (1.0 + math.sin(theta) + math.cos(theta))
-
-
-def c_map_with_limit(a: float) -> float:
-    """Like c_map but admits a = 0, returning the one-sided limit pi/(sqrt(2)+1)."""
-    if a == 0.0:
-        theta = math.pi / 4.0
-        return math.pi / (1.0 + math.sin(theta) + math.cos(theta))
-    return c_map(a)
 
 
 def trapezoid_edges(a: float) -> EdgeTuple:
@@ -146,20 +137,20 @@ def _pair_distance(reps, pair):
     return min(direct, swapped)
 
 
-def _classify(reps, period, match_tol):
+def _classify(reps, period):
     # square first: it is the exact fixed point and also the degenerate
     # trapezoid case, so the order matters
     if period == 1:
         d = dihedral_distance(reps[0], SQUARE)
-        if d < match_tol:
+        if d < MATCH_TOL:
             return "square_fixed", d
         return "other_cycle", math.inf
     if period == 2:
         d_trap = _pair_distance(reps, trapezoid_cycle_pair())
-        if d_trap < match_tol:
+        if d_trap < MATCH_TOL:
             return "trapezoid_2cycle", d_trap
         d_gen = _pair_distance(reps, general_cycle_pair())
-        if d_gen < match_tol:
+        if d_gen < MATCH_TOL:
             return "general_2cycle", d_gen
     return "other_cycle", math.inf
 
@@ -174,8 +165,7 @@ def _rotation_within(p, q, tol) -> bool:
     return False
 
 
-def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12,
-            match_tol: float = MATCH_TOL) -> Trajectory:
+def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajectory:
     """Iterate the map with cycle detection.
 
     A cycle of period p <= P_MAX is accepted after the rotation-quotient
@@ -190,29 +180,25 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12,
     if not tol > 0.0:
         raise DomainError("tol must be positive")
     states = [q0.as_tuple()]
-    residuals = []
     streak = [0] * (P_MAX + 1)
     for n in range(1, max_iter + 1):
-        prev = states[-1]
-        q = _balanced_edge_floats(prev)
+        q = _balanced_edge_floats(states[-1])
         states.append(q)
-        residuals.append(max(abs(q[0] - prev[0]), abs(q[1] - prev[1]),
-                             abs(q[2] - prev[2]), abs(q[3] - prev[3])))
         for p in range(1, min(P_MAX, n) + 1):
             streak[p] = streak[p] + 1 if _rotation_within(q, states[n - p], tol) else 0
             if streak[p] >= CONFIRMATIONS:
-                return _trajectory(q0, states, residuals, p, match_tol)
-    return _trajectory(q0, states, residuals, None, match_tol)
+                return _trajectory(q0, states, p)
+    return _trajectory(q0, states, None)
 
 
-def _trajectory(q0, states, residuals, period, match_tol):
+def _trajectory(q0, states, period):
     # iterate's API boundary: float states become AngleTuples, and cycle
     # representatives are images under the public step, checking the kernel
     states = (q0,) + tuple(AngleTuple(*s) for s in states[1:])
     if period is None:
-        return Trajectory(states, tuple(residuals), None)
+        return Trajectory(states, None)
     reps = tuple(step(s) for s in states[-period - 1:-1])
-    classification, match = _classify(reps, period, match_tol)
+    classification, match = _classify(reps, period)
     residual = rotation_distance(states[-1], states[-1 - period])
     cycle = CycleInfo(period, reps, classification, residual, match)
-    return Trajectory(states, tuple(residuals), cycle)
+    return Trajectory(states, cycle)

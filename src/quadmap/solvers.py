@@ -171,7 +171,7 @@ def solve_trapezoid_fixed_point(tol: float = 1e-13,
 
     Bisection isolates the root, Newton polishes it.
     """
-    if tol < 1e-14:
+    if not tol >= 1e-14:   # written so that a NaN tol is rejected too
         raise DomainError("tol below double-precision resolution")
     g = lambda a: c_map(a) - a
     rough = bisect(g, bracket[0], bracket[1], tol=1e-6)
@@ -227,7 +227,7 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
     Step-halving line search on the residual sup-norm; finite-difference
     Jacobian.  The solution's beta is implied by the angle sum.
     """
-    if tol < 1e-13:
+    if not tol >= 1e-13:   # written so that a NaN tol is rejected too
         raise DomainError("tol below double-precision resolution")
     if initial is None:
         v = _default_cycle_start()
@@ -262,16 +262,6 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
     raise MaxIterationsError(f"residual {norm} above tol {tol} after {max_iter} iterations")
 
 
-def chart_step(p: ChartPoint) -> ChartPoint:
-    """One application of the map in the reduced chart."""
-    return ChartPoint.from_angles(step(p.as_angles()))
-
-
-def chart_step2(p: ChartPoint) -> ChartPoint:
-    """Double application of the map in the reduced chart."""
-    return ChartPoint.from_angles(step(step(p.as_angles())))
-
-
 def fd_jacobian(chart_map: Callable[[ChartPoint], ChartPoint],
                 p: ChartPoint, h: float = STABILITY_FD_STEP) -> np.ndarray:
     """Central-difference 3x3 Jacobian of a chart map."""
@@ -299,7 +289,13 @@ def stability_report(q: AngleTuple, map_order: int = 1,
     if map_order not in (1, 2):
         raise DomainError("map_order must be 1 or 2")
     p = ChartPoint.from_angles(q)
-    chart_map = chart_step if map_order == 1 else chart_step2
+
+    def chart_map(c: ChartPoint) -> ChartPoint:
+        image = c.as_angles()
+        for _ in range(map_order):
+            image = step(image)
+        return ChartPoint.from_angles(image)
+
     jac = fd_jacobian(chart_map, p, h)
     moduli = eigenvalue_moduli_3x3(jac)
     return StabilityReport(

@@ -3,10 +3,12 @@ end-to-end CLI gate.  Run with `pytest -s tests/test_acceptance.py` to see
 the per-criterion pass/fail lines.
 """
 
+import math
 import time
 
 import pytest
 
+import quadmap.verify as verify
 from quadmap.cli import main
 from quadmap.verify import CHECKS
 
@@ -17,6 +19,19 @@ def test_criterion(check):
     status = "PASS" if result.passed else "FAIL"
     print(f"{status}  {result.name}: {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
+
+
+def test_boundary_check_reads_the_map_near_zero(monkeypatch):
+    # a map that is right at pi/2 but off by 1e-9 near 0 must fail the
+    # check: the limit at 0 is measured through c_map, not a second formula
+    original = verify.c_map
+
+    def shifted(a):
+        return original(a) + (1e-9 if a < 0.01 else 0.0)
+
+    monkeypatch.setattr(verify, "c_map", shifted)
+    assert shifted(math.pi / 2) == math.pi / 2
+    assert not verify.check_boundary_values().passed
 
 
 def test_cli_verify_end_to_end(capsys):

@@ -55,6 +55,15 @@ class TestStep:
         assert main(["step", "--angles", "1,1,1,1"]) == 2
         assert main(["step", "--angles", "a,b,c,d"]) == 2
 
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        # --out names a directory: an OSError becomes a usage error, not a
+        # traceback with the exit code that means "verification failed"
+        code, err = run_bounded(capsys, 10, "step", "--angles", SQUARE_ARG,
+                                "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: cannot write")
+        assert "Traceback" not in err
+
 
 class TestIterate:
     def test_square_trajectory(self, capsys):
@@ -97,9 +106,12 @@ class TestCycle:
     ("cycle", "--angles", "1.2,2.1,1.5,1.4831853071795865"),
     ("iterate", "--angles", "1.2,2.1,1.5,1.4831853071795865"),
     ("basin", "--samples", "1"),
+    ("solve", "trapezoid"),
+    ("solve", "cycle"),
 ])
 def test_nan_tol_exit_2(capsys, argv):
-    # d < nan never holds, so a NaN tolerance used to spend the whole budget
+    # d < nan never holds, so a NaN tolerance used to spend the whole budget;
+    # in the solvers it slipped past the tol < floor guards
     code, err = run_bounded(capsys, 10, *argv, "--tol", "nan")
     assert code == 2
     assert err.startswith("error:")

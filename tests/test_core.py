@@ -20,7 +20,6 @@ from quadmap.core import (
     realize_polygon,
     reflect_labels_angles,
     reflect_labels_edges,
-    renormalize_sum,
     rotate_labels,
     validate_angles,
 )
@@ -50,8 +49,6 @@ class TestValidation:
         # validation must reject rather than rescale
         with pytest.raises(SumMismatchError):
             validate_angles(1.5, 1.5, 1.5, 1.5)
-        fixed = renormalize_sum((1.5, 1.5, 1.5, 1.5))
-        assert abs(sum(fixed) - TWO_PI) < 1e-12
 
     def test_edge_tuple_zero_needs_degenerate_flag(self):
         with pytest.raises(OutOfRangeError):

@@ -4,11 +4,9 @@ import pytest
 
 import quadmap.core as core
 from quadmap.core import (
-    IDENTITY,
     AngleTuple,
     EdgeTuple,
     reflect_labels_angles,
-    relabel_distance,
     rotate_labels,
     validate_angles,
 )
@@ -17,7 +15,6 @@ from quadmap.dynamics import (
     C_AT_ZERO,
     CONFIRMATIONS,
     GENERAL_CYCLE_ANGLES,
-    MATCH_TOL,
     P_MAX,
     SQUARE,
     CycleInfo,
@@ -25,7 +22,6 @@ from quadmap.dynamics import (
     Trajectory,
     _classify,
     c_map,
-    c_map_with_limit,
     dihedral_distance,
     general_cycle_pair,
     iterate,
@@ -78,7 +74,7 @@ class TestStep:
 
 class TestCMap:
     def test_limit_at_zero(self):
-        assert c_map_with_limit(0.0) == pytest.approx(PI / (math.sqrt(2) + 1), abs=1e-15)
+        assert c_map(1e-4) == pytest.approx(PI / (math.sqrt(2) + 1), abs=1e-15)
         assert C_AT_ZERO == pytest.approx(1.3, abs=1e-2)
         with pytest.raises(DomainError):
             c_map(0.0)
@@ -190,7 +186,6 @@ class TestIterate:
     def test_trajectory_consistency(self):
         q0 = validate_angles(1.2, 2.1, 1.5, 2 * PI - 4.8)
         traj = iterate(q0, max_iter=50, tol=1e-15)
-        assert len(traj.residuals) == len(traj.states) - 1
         for a, b in zip(traj.states, traj.states[1:]):
             assert sup(step(a), b) < 1e-12
 
@@ -212,22 +207,21 @@ class TestIterate:
 def reference_iterate(q0, max_iter=10000, tol=1e-12):
     """Reference for iterate on the validated path: public step, the full
     rotation_distance for every period at every step, CONFIRMATIONS streaks."""
-    states, residuals = [q0], []
+    states = [q0]
     streak = [0] * (P_MAX + 1)
     last_d = [math.inf] * (P_MAX + 1)
     for n in range(1, max_iter + 1):
         states.append(step(states[-1]))
-        residuals.append(relabel_distance(states[-1], states[-2], IDENTITY))
         for p in range(1, min(P_MAX, n) + 1):
             last_d[p] = rotation_distance(states[n], states[n - p])
             streak[p] = streak[p] + 1 if last_d[p] < tol else 0
         for p in range(1, P_MAX + 1):
             if streak[p] >= CONFIRMATIONS:
                 reps = tuple(states[-p:])
-                classification, match = _classify(reps, p, MATCH_TOL)
+                classification, match = _classify(reps, p)
                 cycle = CycleInfo(p, reps, classification, last_d[p], match)
-                return Trajectory(tuple(states), tuple(residuals), cycle)
-    return Trajectory(tuple(states), tuple(residuals), None)
+                return Trajectory(tuple(states), cycle)
+    return Trajectory(tuple(states), None)
 
 
 def _reference_cases():
@@ -248,7 +242,7 @@ def _reference_cases():
 
 @pytest.mark.parametrize("q0, kwargs", _reference_cases())
 def test_iterate_equals_reference_loop(q0, kwargs):
-    # dataclass equality compares the floats exactly: states, residuals,
+    # dataclass equality compares the floats exactly: states,
     # period, representatives, classification, residual and match distance
     assert iterate(q0, **kwargs) == reference_iterate(q0, **kwargs)
 
