@@ -44,7 +44,6 @@ from .solvers import (
     cycle_system_rhs,
     eigenvalue_moduli_3x3,
     fd_jacobian,
-    newton_1d,
     solve_cycle_system,
     solve_trapezoid_fixed_point,
     stability_report,

@@ -18,7 +18,6 @@ from .dynamics import P_MAX, c_map, iterate, rotation_distance, step
 from .sampling import DEFAULT_MARGIN, sample_angle_tuple, substream
 from .solvers import (
     ChartPoint,
-    STABILITY_FD_STEP,
     TRAPEZOID_BRACKET,
     SolverError,
     c_map_slope,
@@ -181,10 +180,9 @@ def cmd_solve(args) -> int:
 
 def cmd_stability(args) -> int:
     q = _parse_angles(args.angles)
-    report = stability_report(q, map_order=args.order, h=args.h)
+    report = stability_report(q, map_order=args.order)
     payload = {
         "map_order": report.map_order,
-        "fd_step": fmt(report.fd_step),
         "point": _angles_json(report.point),
         "jacobian": [[fmt(v) for v in row] for row in report.jacobian],
         "eigenvalue_moduli": [fmt(v) for v in report.eigenvalue_moduli],
@@ -271,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="Jacobian spectrum at a state")
     common(p, tol=False)
     p.add_argument("--order", type=int, choices=(1, 2), default=1)
-    p.add_argument("--h", type=float, default=STABILITY_FD_STEP)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("verify", help="reproduce every published constant")

@@ -15,9 +15,8 @@ import numpy as np
 from .core import TWO_PI, AngleTuple, DomainError, _triangle_edges, canonicalize
 from .dynamics import c_map, step
 
-# finite-difference steps: root-accuracy Jacobians vs derivative-accuracy ones
-NEWTON_FD_STEP = 1e-7
-STABILITY_FD_STEP = 1e-6
+# central-difference step of every finite-difference derivative
+FD_STEP = 1e-6
 
 # bracket for the attracting trapezoid fixed point, containing the known root
 TRAPEZOID_BRACKET = (1.4, 1.5)
@@ -90,7 +89,6 @@ class StabilityReport:
     jacobian: tuple
     eigenvalue_moduli: tuple
     spectral_radius: float
-    fd_step: float
 
 
 @dataclass(frozen=True)
@@ -103,16 +101,17 @@ class TrapezoidFixedPoints:
 
 def bisect(fn: Callable[[float], float], lo: float, hi: float,
            tol: float = 1e-13, max_iter: int = 200) -> SolveResult:
-    """Bracket a sign change down to width <= tol."""
+    """Bracket a sign change down to width <= tol, or to adjacent doubles."""
     if not lo < hi:
         raise DomainError("bisect requires lo < hi")
+    provenance = f"bisection on {[lo, hi]}"
     f_lo, f_hi = fn(lo), fn(hi)
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         raise NonFiniteError("function not finite at bracket endpoints")
     if f_lo == 0.0:
-        return SolveResult(lo, 0.0, 0, True, "bisection")
+        return SolveResult(lo, 0.0, 0, True, provenance)
     if f_hi == 0.0:
-        return SolveResult(hi, 0.0, 0, True, "bisection")
+        return SolveResult(hi, 0.0, 0, True, provenance)
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise NoSignChangeError(f"no sign change on [{lo}, {hi}]")
     for it in range(1, max_iter + 1):
@@ -124,65 +123,35 @@ def bisect(fn: Callable[[float], float], lo: float, hi: float,
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
-        if hi - lo <= tol:
-            return SolveResult(0.5 * (lo + hi), abs(fn(0.5 * (lo + hi))),
-                               it, True, "bisection")
+        mid = 0.5 * (lo + hi)
+        # no double strictly between lo and hi: the bracket cannot narrow
+        if hi - lo <= tol or not lo < mid < hi:
+            return SolveResult(mid, abs(fn(mid)), it, True, provenance)
     return SolveResult(0.5 * (lo + hi), abs(fn(0.5 * (lo + hi))),
-                       max_iter, False, "bisection")
+                       max_iter, False, provenance)
 
 
-def newton_1d(fn: Callable[[float], float], x0: float,
-              tol: float = 1e-13, max_iter: int = 50,
-              fd_step: float = NEWTON_FD_STEP) -> SolveResult:
-    """Newton iteration with a central-difference derivative."""
-    x = x0
-    for it in range(max_iter + 1):
-        f = fn(x)
-        if not math.isfinite(f):
-            raise NonFiniteError(f"function not finite at {x}")
-        if abs(f) <= tol:
-            return SolveResult(x, abs(f), it, True, "newton")
-        d = (fn(x + fd_step) - fn(x - fd_step)) / (2.0 * fd_step)
-        if abs(d) < 1e-14:
-            raise DerivativeVanishesError(f"derivative ~ 0 at {x}")
-        x -= f / d
-    raise MaxIterationsError(f"newton_1d did not reach |f| <= {tol}")
-
-
-def _central_difference(fn, v, h):
-    """Central-difference Jacobian of an array map fn: R^n -> R^n at v."""
-    jac = np.empty((v.size, v.size))
-    for j in range(v.size):
-        e = np.zeros(v.size)
-        e[j] = h
-        jac[:, j] = (fn(v + e) - fn(v - e)) / (2.0 * h)
-    return jac
+def _inside(p: ChartPoint, h: float) -> bool:
+    """All four angles of p lie more than h away from 0 and pi."""
+    return all(h < a < math.pi - h for a in (p.alpha, p.beta, p.gamma, p.delta))
 
 
 def c_map_slope(a: float) -> float:
     """Central-difference slope c'(a) of the trapezoid submap."""
-    h = STABILITY_FD_STEP
-    return (c_map(a + h) - c_map(a - h)) / (2.0 * h)
+    return (c_map(a + FD_STEP) - c_map(a - FD_STEP)) / (2.0 * FD_STEP)
 
 
 def solve_trapezoid_fixed_point(tol: float = 1e-13,
                                 bracket=TRAPEZOID_BRACKET) -> TrapezoidFixedPoints:
-    """The nontrivial root of c(a) = a, plus the analytic fixed point pi/2.
-
-    Bisection isolates the root, Newton polishes it.
+    """The nontrivial root of c(a) = a by bisection to a final bracket width
+    tol, plus the analytic fixed point pi/2, which the bracket must exclude.
     """
     if not tol >= 1e-14:   # written so that a NaN tol is rejected too
         raise DomainError("tol below double-precision resolution")
-    g = lambda a: c_map(a) - a
-    rough = bisect(g, bracket[0], bracket[1], tol=1e-6)
-    refined = newton_1d(g, rough.solution, tol=tol)
-    result = SolveResult(
-        solution=refined.solution,
-        residual_norm=refined.residual_norm,
-        iterations=rough.iterations + refined.iterations,
-        converged=refined.converged,
-        provenance=f"bisection on {list(bracket)} + newton refinement",
-    )
+    lo, hi = bracket
+    if not 0.0 < lo < hi < math.pi / 2:   # NaN fails here too
+        raise DomainError(f"bracket {list(bracket)} must satisfy 0 < lo < hi < pi/2")
+    result = bisect(lambda a: c_map(a) - a, lo, hi, tol=tol)
     return TrapezoidFixedPoints(attracting=result, repelling=math.pi / 2.0)
 
 
@@ -200,9 +169,7 @@ def cycle_system_rhs(p: ChartPoint) -> ChartPoint:
 
 
 def _cycle_residual(v):
-    p = ChartPoint(*v)
-    r = cycle_system_rhs(p)
-    return r.as_array() - v
+    return cycle_system_rhs(ChartPoint(*v)).as_array() - v
 
 
 def _default_cycle_start():
@@ -224,8 +191,8 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
                        tol: float = 1e-12, max_iter: int = 100) -> SolveResult:
     """Damped Newton solve of the cycle relations in the reduced chart.
 
-    Step-halving line search on the residual sup-norm; finite-difference
-    Jacobian.  The solution's beta is implied by the angle sum.
+    Step-halving line search on the residual sup-norm, inside the domain;
+    fd_jacobian supplies the Jacobian.  Beta is implied by the angle sum.
     """
     if not tol >= 1e-13:   # written so that a NaN tol is rejected too
         raise DomainError("tol below double-precision resolution")
@@ -236,14 +203,14 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
         v = initial.as_array()
         provenance = "caller-supplied initial guess"
 
-    h = NEWTON_FD_STEP
     res = _cycle_residual(v)
     norm = np.max(np.abs(res))
     for it in range(1, max_iter + 1):
         if norm <= tol:
             return SolveResult(ChartPoint(*v), float(norm), it - 1, True, provenance)
         try:
-            s = np.linalg.solve(_central_difference(_cycle_residual, v, h), -res)
+            jac = fd_jacobian(cycle_system_rhs, ChartPoint(*v)) - np.eye(3)
+            s = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
             raise DerivativeVanishesError("singular Newton Jacobian") from exc
         lam = 1.0
@@ -251,7 +218,7 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
             trial = v + lam * s
             trial_res = _cycle_residual(trial)
             trial_norm = np.max(np.abs(trial_res))
-            if trial_norm < norm:
+            if trial_norm < norm and _inside(ChartPoint(*trial), FD_STEP):
                 break
             lam *= 0.5
             if lam < 2.0 ** -20:
@@ -263,15 +230,19 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
 
 
 def fd_jacobian(chart_map: Callable[[ChartPoint], ChartPoint],
-                p: ChartPoint, h: float = STABILITY_FD_STEP) -> np.ndarray:
+                p: ChartPoint, h: float = FD_STEP) -> np.ndarray:
     """Central-difference 3x3 Jacobian of a chart map."""
     if not 1e-8 <= h <= 1e-4:
         raise DomainError("fd step h must lie in [1e-8, 1e-4]")
-    angles = (p.alpha, p.beta, p.gamma, p.delta)
-    if any(a <= h or a >= math.pi - h for a in angles):
+    if not _inside(p, h):
         raise BoundaryTooCloseError("chart point within h of the domain boundary")
-    jac = _central_difference(lambda v: chart_map(ChartPoint(*v)).as_array(),
-                              p.as_array(), h)
+    v = p.as_array()
+    jac = np.empty((3, 3))
+    for j in range(3):
+        e = np.zeros(3)
+        e[j] = h
+        jac[:, j] = (chart_map(ChartPoint(*(v + e))).as_array()
+                     - chart_map(ChartPoint(*(v - e))).as_array()) / (2.0 * h)
     if not np.all(np.isfinite(jac)):
         raise NonFiniteError("Jacobian has non-finite entries")
     return jac
@@ -283,8 +254,7 @@ def eigenvalue_moduli_3x3(m) -> tuple:
     return tuple(sorted((float(x) for x in moduli), reverse=True))
 
 
-def stability_report(q: AngleTuple, map_order: int = 1,
-                     h: float = STABILITY_FD_STEP) -> StabilityReport:
+def stability_report(q: AngleTuple, map_order: int = 1) -> StabilityReport:
     """Jacobian spectrum of the map (or its square) at a state, in the chart."""
     if map_order not in (1, 2):
         raise DomainError("map_order must be 1 or 2")
@@ -296,7 +266,7 @@ def stability_report(q: AngleTuple, map_order: int = 1,
             image = step(image)
         return ChartPoint.from_angles(image)
 
-    jac = fd_jacobian(chart_map, p, h)
+    jac = fd_jacobian(chart_map, p)
     moduli = eigenvalue_moduli_3x3(jac)
     return StabilityReport(
         point=p,
@@ -304,5 +274,4 @@ def stability_report(q: AngleTuple, map_order: int = 1,
         jacobian=tuple(tuple(row) for row in jac),
         eigenvalue_moduli=moduli,
         spectral_radius=moduli[0],
-        fd_step=h,
     )

@@ -17,10 +17,4 @@ def random_angles(rng):
     return [sample_angle_tuple(rng) for _ in range(200)]
 
 
-def sup(p, q):
-    pt = p.as_tuple() if hasattr(p, "as_tuple") else tuple(p)
-    qt = q.as_tuple() if hasattr(q, "as_tuple") else tuple(q)
-    return max(abs(a - b) for a, b in zip(pt, qt))
-
-
 PI = math.pi

@@ -34,6 +34,18 @@ def test_boundary_check_reads_the_map_near_zero(monkeypatch):
     assert not verify.check_boundary_values().passed
 
 
+def test_boundary_check_compares_the_closed_form_with_the_map(monkeypatch):
+    # a closed form off by 1e-12 at a = 0.5 must fail the check: it is
+    # compared with a double step of the full map at the trapezoid state
+    original = verify.c_map
+
+    def shifted(a):
+        return original(a) + (1e-12 if a == 0.5 else 0.0)
+
+    monkeypatch.setattr(verify, "c_map", shifted)
+    assert not verify.check_boundary_values().passed
+
+
 def test_cli_verify_end_to_end(capsys):
     start = time.perf_counter()
     code = main(["verify"])

@@ -217,8 +217,24 @@ class TestSolve:
         assert float(payload["beta"]) == pytest.approx(
             1.82405188512759300508614890573, abs=1e-9)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--bracket-hi", repr(PI / 2)),   # bisection would return the repelling root
+        ("--bracket-hi", "2"),
+        ("--bracket-lo", "nan"),
+    ])
+    def test_trapezoid_bad_bracket_exit_2(self, capsys, flag, value):
+        code, err = run_bounded(capsys, 10, "solve", "trapezoid", flag, value)
+        assert code == 2
+        assert err.startswith("error:") and "bracket" in err
+
     def test_cycle_bad_initial_exit_2(self, capsys):
         assert main(["solve", "cycle", "--initial", "1.0,2.0"]) == 2
+
+    def test_cycle_degenerate_root_exit_3(self, capsys):
+        # the relations vanish at (pi, pi, 0, 0), which is no quadrangle
+        code, err = run_bounded(capsys, 30, "solve", "cycle", "--initial", "1.59,1.64,0.35")
+        assert code == 3
+        assert err.startswith("solver error:")
 
     @pytest.mark.parametrize("initial", ["a,b,c", "3,3,3"])
     def test_cycle_invalid_initial_exit_2(self, capsys, initial):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 import quadmap.core as core
 from quadmap.core import (
+    IDENTITY,
     TWO_PI,
     AngleTuple,
     EdgeTuple,
@@ -20,13 +21,12 @@ from quadmap.core import (
     realize_polygon,
     reflect_labels_angles,
     reflect_labels_edges,
+    relabel_distance,
     rotate_labels,
     validate_angles,
 )
 from quadmap.dynamics import step
 from quadmap.sampling import sample_angle_tuple
-
-from conftest import sup
 
 PI = math.pi
 SQUARE = (PI / 2, PI / 2, PI / 2, PI / 2)
@@ -136,7 +136,7 @@ class TestDegenerateEdges:
 class TestBalancedEdges:
     def test_square(self):
         e = balanced_edges(validate_angles(*SQUARE))
-        assert sup(e, EdgeTuple(*SQUARE)) < 1e-12
+        assert relabel_distance(e, EdgeTuple(*SQUARE), IDENTITY) < 1e-12
 
     def test_trapezoid_closed_form(self):
         # two pairs of equal angles with base angle pi/3
@@ -174,13 +174,14 @@ class TestBalancedEdges:
             e = balanced_edges(q)
             for k in range(4):
                 rot = balanced_edges(AngleTuple(*rotate_labels(q, k)))
-                assert sup(rot, rotate_labels(e, k)) <= 1e-10
+                rotated = EdgeTuple(*rotate_labels(e, k))
+                assert relabel_distance(rot, rotated, IDENTITY) <= 1e-10
 
     def test_reflection_equivariance(self, random_angles):
         for q in random_angles[:50]:
             lhs = balanced_edges(reflect_labels_angles(q))
             rhs = reflect_labels_edges(balanced_edges(q))
-            assert sup(lhs, rhs) <= 1e-10
+            assert relabel_distance(lhs, rhs, IDENTITY) <= 1e-10
 
 
 class TestBalancedEdgeFloats:
@@ -215,13 +216,13 @@ class TestBalancedEdgeFloats:
 class TestOracle:
     def test_square_segment(self):
         mid, seg = balanced_edges_oracle(validate_angles(*SQUARE))
-        assert sup(mid, EdgeTuple(*SQUARE)) < 1e-10
+        assert relabel_distance(mid, EdgeTuple(*SQUARE), IDENTITY) < 1e-10
         assert seg.t_max - seg.t_min > 0
 
     def test_midpoint_matches_formula(self, random_angles):
         for q in random_angles:
             mid, _ = balanced_edges_oracle(q)
-            assert sup(mid, balanced_edges(q)) <= 1e-10
+            assert relabel_distance(mid, balanced_edges(q), IDENTITY) <= 1e-10
 
     def test_segment_endpoints_are_triangles(self, random_angles):
         for q in random_angles[:50]:

@@ -9,11 +9,12 @@ from quadmap.solvers import (
     ChartPoint,
     BoundaryTooCloseError,
     NoSignChangeError,
+    SolverError,
     bisect,
+    c_map_slope,
     cycle_system_rhs,
     eigenvalue_moduli_3x3,
     fd_jacobian,
-    newton_1d,
     solve_cycle_system,
     solve_trapezoid_fixed_point,
     stability_report,
@@ -26,6 +27,16 @@ PAPER_CYCLE = (
     1.41515953031350909799654144250,
     1.49578083925179212231325656509,
 )
+
+
+def chart_map(order):
+    """The map applied `order` times, in the reduced chart."""
+    def f(c):
+        image = c.as_angles()
+        for _ in range(order):
+            image = step(image)
+        return ChartPoint.from_angles(image)
+    return f
 
 
 class TestBisect:
@@ -46,23 +57,18 @@ class TestBisect:
         with pytest.raises(DomainError):
             bisect(lambda x: x, 2.0, 1.0)
 
-
-class TestNewton1d:
-    def test_sqrt_two(self):
-        r = newton_1d(lambda x: x * x - 2.0, 1.5, tol=1e-14)
+    @pytest.mark.parametrize("fn, lo, hi, root", [
+        (lambda x: x - 1.0, 0.0, 2.0, 1.0),
+        (lambda a: c_map(a) - a, 1.4, 1.5, A_STAR),
+    ], ids=["linear", "trapezoid"])
+    @pytest.mark.parametrize("tol", [1e-17, 0.0])
+    def test_tol_below_resolution_stops_at_adjacent_doubles(self, fn, lo, hi, root, tol):
+        # no bracket of doubles is narrower than the ulp spacing, so the
+        # search ends there, converged, well inside the iteration budget
+        r = bisect(fn, lo, hi, tol=tol)
         assert r.converged
-        assert r.solution == pytest.approx(math.sqrt(2.0), abs=1e-14)
-
-    def test_agrees_with_bisection(self):
-        r = newton_1d(lambda a: c_map(a) - a, 1.48, tol=1e-13)
-        b = bisect(lambda a: c_map(a) - a, 1.4, 1.5, tol=1e-13)
-        assert abs(r.solution - b.solution) < 1e-12
-
-    def test_degenerate_root_at_start(self):
-        # x^3 from x0 = 0: already at the root, reported as converged
-        r = newton_1d(lambda x: x ** 3, 0.0, tol=1e-13)
-        assert r.converged
-        assert r.solution == 0.0
+        assert r.iterations < 100
+        assert abs(r.solution - root) <= 4 * math.ulp(root)
 
 
 class TestTrapezoidFixedPoint:
@@ -80,6 +86,27 @@ class TestTrapezoidFixedPoint:
     def test_tol_guard(self):
         with pytest.raises(DomainError):
             solve_trapezoid_fixed_point(tol=1e-16)
+
+    @pytest.mark.parametrize("bracket", [
+        (1.4, PI / 2),        # would hand back the repelling root pi/2
+        (1.4, 2.0),
+        (0.0, 1.5),
+        (1.5, 1.4),
+        (math.nan, 1.5),
+        (1.4, math.nan),
+    ], ids=["pi/2", "2", "0", "reversed", "nan-lo", "nan-hi"])
+    def test_bracket_guard(self, bracket):
+        with pytest.raises(DomainError, match="bracket"):
+            solve_trapezoid_fixed_point(bracket=bracket)
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, A_STAR, 1.5])
+def test_c_map_slope_matches_closed_form(a):
+    # c = pi / (1 + sin t + cos t) with t = pi / (2 + 2 cos a), by the chain rule
+    t = PI / (2.0 + 2.0 * math.cos(a))
+    dc_dt = -PI * (math.cos(t) - math.sin(t)) / (1.0 + math.sin(t) + math.cos(t)) ** 2
+    dt_da = 2.0 * PI * math.sin(a) / (2.0 + 2.0 * math.cos(a)) ** 2
+    assert c_map_slope(a) == pytest.approx(dc_dt * dt_da, abs=1e-8)
 
 
 class TestCycleSystem:
@@ -108,6 +135,20 @@ class TestCycleSystem:
         r = solve_cycle_system(initial=ChartPoint(1.5, 1.4, 1.5), tol=1e-12)
         assert r.converged
         assert abs(r.solution.alpha - PAPER_CYCLE[0]) < 1e-10
+
+    @pytest.mark.parametrize("initial", [(0.75, 1.45, 1.05), (2.36, 1.06, 1.98)])
+    def test_newton_path_near_the_boundary(self, initial):
+        # full Newton steps from these starts leave the domain; the line
+        # search keeps the iterates inside and still reaches the cycle
+        r = solve_cycle_system(initial=ChartPoint(*initial), tol=1e-12)
+        assert r.converged
+        assert abs(r.solution.alpha - PAPER_CYCLE[0]) < 1e-10
+
+    def test_degenerate_root_is_not_returned(self):
+        # the relations also vanish at (pi, pi, 0, 0), which is no
+        # quadrangle; from this start descent only leads there
+        with pytest.raises(SolverError):
+            solve_cycle_system(initial=ChartPoint(1.59, 1.64, 0.35))
 
     def test_solution_is_period_two_point(self):
         from quadmap.dynamics import rotation_distance, step
@@ -204,9 +245,11 @@ class TestStabilityReport:
         assert rep.eigenvalue_moduli[0] == rep.spectral_radius
 
     def test_h_robustness(self):
-        r5 = stability_report(GENERAL_CYCLE_ANGLES, 2, h=1e-5).spectral_radius
-        r6 = stability_report(GENERAL_CYCLE_ANGLES, 2, h=1e-6).spectral_radius
+        p = ChartPoint.from_angles(GENERAL_CYCLE_ANGLES)
+        r5 = eigenvalue_moduli_3x3(fd_jacobian(chart_map(2), p, h=1e-5))[0]
+        r6 = eigenvalue_moduli_3x3(fd_jacobian(chart_map(2), p, h=1e-6))[0]
         assert abs(r5 - r6) / r6 < 1e-4
+        assert r6 == stability_report(GENERAL_CYCLE_ANGLES, 2).spectral_radius
 
     def test_map_order_guard(self):
         with pytest.raises(DomainError):
@@ -236,6 +279,6 @@ class TestStabilityReport:
         # square; canonicalization tie-breaks put a derivative kink at the
         # square, so the finite-difference commutator is O(h) rather than
         # machine precision
-        jac = np.array(stability_report(SQUARE, map_order=1, h=1e-8).jacobian)
+        jac = fd_jacobian(chart_map(1), ChartPoint.from_angles(SQUARE), h=1e-8)
         rot2 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, -1.0, -1.0]])
         assert np.max(np.abs(jac @ rot2 - rot2 @ jac)) < 5e-8
