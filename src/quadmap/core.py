@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
 # sum-constraint tolerance; sits well above double accumulation error
@@ -296,6 +294,7 @@ def balanced_edges_oracle(q: AngleTuple):
     solution set, clips to x_i >= 0, and returns the segment midpoint with
     the feasible segment itself.
     """
+    import numpy as np
     headings = _edge_headings(q)
     m = np.array(
         [

@@ -177,8 +177,8 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
     """
     if max_iter < 1:
         raise DomainError("max_iter must be >= 1")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:   # a NaN tol fails here too
+        raise DomainError("tol must be positive and finite")
     states = [q0.as_tuple()]
     streak = [0] * (P_MAX + 1)
     for n in range(1, max_iter + 1):

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import TWO_PI, AngleTuple, DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MARGIN = 0.05
 
@@ -19,6 +21,7 @@ def sample_angle_tuple(rng: np.random.Generator,
     2*pi; draws whose rescaled components leave the margin band are
     rejected and redrawn.  The margin must lie in [0, pi/2).
     """
+    import numpy as np
     if not 0.0 <= margin < math.pi / 2:
         raise DomainError(f"margin {margin} must lie in [0, pi/2)")
     lo, hi = margin, math.pi - margin
@@ -30,5 +33,11 @@ def sample_angle_tuple(rng: np.random.Generator,
 
 
 def substream(seed: int, sample_id: int) -> np.random.Generator:
-    """Per-sample generator; output is independent of execution order."""
+    """Per-sample generator; output is independent of execution order.
+
+    The seed must be a non-negative integer.
+    """
+    import numpy as np
+    if not (isinstance(seed, int) and seed >= 0):
+        raise DomainError(f"seed {seed} must be a non-negative integer")
     return np.random.default_rng((seed, sample_id))

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .core import TWO_PI, AngleTuple, DomainError, _triangle_edges, canonicalize
 from .dynamics import c_map, step
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # central-difference step of every finite-difference derivative
 FD_STEP = 1e-6
@@ -75,6 +76,7 @@ class ChartPoint:
         return AngleTuple(self.alpha, self.beta, self.gamma, self.delta)
 
     def as_array(self):
+        import numpy as np
         return np.array([self.alpha, self.gamma, self.delta])
 
     @staticmethod
@@ -146,8 +148,8 @@ def solve_trapezoid_fixed_point(tol: float = 1e-13,
     """The nontrivial root of c(a) = a by bisection to a final bracket width
     tol, plus the analytic fixed point pi/2, which the bracket must exclude.
     """
-    if not tol >= 1e-14:   # written so that a NaN tol is rejected too
-        raise DomainError("tol below double-precision resolution")
+    if not 1e-14 <= tol < math.inf:   # a NaN tol fails here too
+        raise DomainError("tol must be finite and at least 1e-14")
     lo, hi = bracket
     if not 0.0 < lo < hi < math.pi / 2:   # NaN fails here too
         raise DomainError(f"bracket {list(bracket)} must satisfy 0 < lo < hi < pi/2")
@@ -173,6 +175,7 @@ def _cycle_residual(v):
 
 
 def _default_cycle_start():
+    import numpy as np
     # run the map from a generic seed and take the orbit element whose
     # canonical relabeling sits closest to solving the system
     q = AngleTuple(1.2, 2.1, 1.5, TWO_PI - 4.8)
@@ -194,8 +197,9 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
     Step-halving line search on the residual sup-norm, inside the domain;
     fd_jacobian supplies the Jacobian.  Beta is implied by the angle sum.
     """
-    if not tol >= 1e-13:   # written so that a NaN tol is rejected too
-        raise DomainError("tol below double-precision resolution")
+    import numpy as np
+    if not 1e-13 <= tol < math.inf:   # a NaN tol fails here too
+        raise DomainError("tol must be finite and at least 1e-13")
     if initial is None:
         v = _default_cycle_start()
         provenance = "initial guess from 50 map iterations of a generic seed"
@@ -232,6 +236,7 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
 def fd_jacobian(chart_map: Callable[[ChartPoint], ChartPoint],
                 p: ChartPoint, h: float = FD_STEP) -> np.ndarray:
     """Central-difference 3x3 Jacobian of a chart map."""
+    import numpy as np
     if not 1e-8 <= h <= 1e-4:
         raise DomainError("fd step h must lie in [1e-8, 1e-4]")
     if not _inside(p, h):
@@ -250,6 +255,7 @@ def fd_jacobian(chart_map: Callable[[ChartPoint], ChartPoint],
 
 def eigenvalue_moduli_3x3(m) -> tuple:
     """Moduli of the eigenvalues of a real 3x3 matrix, sorted descending."""
+    import numpy as np
     moduli = np.abs(np.linalg.eigvals(np.asarray(m, dtype=float)))
     return tuple(sorted((float(x) for x in moduli), reverse=True))
 

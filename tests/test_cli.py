@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quadmap.core as core
 from quadmap.cli import fmt, main
@@ -102,17 +109,29 @@ class TestCycle:
         assert json.loads(out)["classification"] == "no_convergence"
 
 
-@pytest.mark.parametrize("argv", [
+TOL_ARGVS = [
     ("cycle", "--angles", "1.2,2.1,1.5,1.4831853071795865"),
     ("iterate", "--angles", "1.2,2.1,1.5,1.4831853071795865"),
     ("basin", "--samples", "1"),
     ("solve", "trapezoid"),
     ("solve", "cycle"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", TOL_ARGVS)
 def test_nan_tol_exit_2(capsys, argv):
     # d < nan never holds, so a NaN tolerance used to spend the whole budget;
     # in the solvers it slipped past the tol < floor guards
     code, err = run_bounded(capsys, 10, *argv, "--tol", "nan")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", TOL_ARGVS)
+def test_inf_tol_exit_2(capsys, argv):
+    # every distance is below inf: cycle and basin reported a period-1
+    # other_cycle after 3 steps, and the solvers returned their first iterate
+    code, err = run_bounded(capsys, 10, *argv, "--tol", "inf")
     assert code == 2
     assert err.startswith("error:")
 
@@ -191,6 +210,13 @@ class TestBasin:
         assert [r[5] for r in rows] == ["no_convergence"] * 3
         for r in rows:
             assert float(r[7]) < 1e-9
+
+    @pytest.mark.parametrize("seed", ["-1", "-42"])
+    def test_negative_seed_exit_2(self, capsys, seed):
+        # numpy's default_rng used to reject it with a traceback
+        code, err = run_bounded(capsys, 10, "basin", "--samples", "1", "--seed", seed)
+        assert code == 2
+        assert err.startswith("error:") and "seed" in err
 
     def test_different_seeds_differ(self, capsys):
         _, out1 = run(capsys, "basin", "--samples", "5", "--seed", "1")
@@ -299,3 +325,88 @@ class TestVerify:
 def test_fmt_round_trips(rng):
     for x in rng.uniform(-10, 10, 1000):
         assert float(fmt(x)) == x
+
+
+COLD_PATH = """
+import sys
+import quadmap
+import quadmap.cli
+loaded = ["numpy" in sys.modules]
+out, angles = sys.argv[1], "1.2,2.1,1.5,1.4831853071795865"
+for argv in (["step", "--angles", angles, "--json"], ["cycle", "--angles", angles],
+             ["iterate", "--angles", angles], ["curve"], ["solve", "trapezoid"]):
+    assert quadmap.cli.main(argv + ["--out", out]) == 0, argv
+loaded.append("numpy" in sys.modules)
+assert quadmap.cli.main(["solve", "cycle", "--out", out]) == 0
+loaded.append("numpy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_numpy_stays_out_of_the_cold_path(tmp_path):
+    # numpy's import is most of a fresh process's start-up; only the code
+    # that computes with it (here the cycle solve) may load it
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_PATH, str(tmp_path / "out.txt")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # after the imports, after the five numpy-free commands, after solve cycle
+    assert proc.stdout.strip() == "[False, False, True]"
+
+
+FLOATS = st.one_of(
+    st.floats(),   # any double, nan and both infinities included
+    st.floats(min_value=-1.0, max_value=4.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-14, 1e-13, 1.4, 1.5, PI / 2, PI, 2 * PI]),
+)
+ANGLES = st.one_of(
+    st.tuples(FLOATS, FLOATS, FLOATS, FLOATS),
+    # three angles and the fourth closing the sum, so valid states are common
+    st.tuples(*[st.floats(0.0, PI)] * 3).map(lambda t: (*t, 2 * PI - sum(t))),
+).map(lambda q: ["--angles=" + ",".join(repr(v) for v in q)])
+
+
+def _opt(flag, values):
+    """The option with a drawn value, or left out."""
+    return st.lists(_req(flag, values).map(lambda a: a[0]), max_size=1)
+
+
+def _req(flag, values):
+    """The option with a drawn value; for sizes whose default runs long."""
+    return values.map(lambda v: [f"{flag}={v}"])
+
+
+MAX_ITER = _req("--max-iter", st.integers(-2, 40))
+TOL = _opt("--tol", FLOATS)
+
+ARGVS = st.one_of(
+    st.tuples(st.just(["step"]), ANGLES, st.lists(st.just("--json"), max_size=1)),
+    st.tuples(st.sampled_from([["iterate"], ["cycle"]]), ANGLES, TOL, MAX_ITER),
+    st.tuples(st.just(["basin"]), _req("--samples", st.integers(-1, 2)),
+              _opt("--seed", st.integers(-2 ** 64, 2 ** 64)),
+              _opt("--margin", st.floats(0.0, 1.5) | st.just(math.nan)), TOL, MAX_ITER),
+    st.tuples(st.just(["curve"]), _opt("--from", FLOATS), _opt("--to", FLOATS),
+              _req("--samples", st.integers(-1, 20))),
+    st.tuples(st.just(["solve", "trapezoid"]), TOL,
+              _opt("--bracket-lo", FLOATS), _opt("--bracket-hi", FLOATS)),
+    st.tuples(st.just(["solve", "cycle"]), TOL,
+              _opt("--initial", st.tuples(FLOATS, FLOATS, FLOATS).map(
+                  lambda t: ",".join(repr(v) for v in t)))),
+    st.tuples(st.just(["stability"]), ANGLES, _opt("--order", st.integers(-1, 3))),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=ARGVS)
+def test_cli_fuzz_exits_with_a_defined_code(argv):
+    # sizes are bounded above, so every example ends within a few steps;
+    # a traceback escapes as an exception and fails the example
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 2, 3), argv
