@@ -3,7 +3,6 @@
 from .core import (
     AngleTuple,
     CanonicalLabeling,
-    DegenerateFamilyError,
     DomainError,
     EdgeTuple,
     FeasibleSegment,

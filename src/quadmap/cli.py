@@ -18,7 +18,6 @@ from .dynamics import P_MAX, c_map, iterate, rotation_distance, step
 from .sampling import DEFAULT_MARGIN, sample_angle_tuple, substream
 from .solvers import (
     ChartPoint,
-    TRAPEZOID_BRACKET,
     SolverError,
     c_map_slope,
     solve_cycle_system,
@@ -150,8 +149,9 @@ def cmd_basin(args) -> int:
 
 def cmd_solve(args) -> int:
     if args.target == "trapezoid":
-        fp = solve_trapezoid_fixed_point(
-            tol=args.tol, bracket=(args.bracket_lo, args.bracket_hi))
+        if args.initial is not None:
+            raise QuadrangleError("--initial applies to solve cycle only")
+        fp = solve_trapezoid_fixed_point(tol=args.tol)
         a = fp.attracting.solution
         payload = {
             "a_star": fmt(a),
@@ -251,16 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--out", default=None)
+    common(p, angles=False)
     p.set_defaults(func=cmd_basin)
 
     p = sub.add_parser("solve", help="fixed-point / cycle-system solvers")
     p.add_argument("target", choices=("trapezoid", "cycle"))
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--bracket-lo", type=float, default=TRAPEZOID_BRACKET[0])
-    p.add_argument("--bracket-hi", type=float, default=TRAPEZOID_BRACKET[1])
     p.add_argument("--initial", default=None,
                    help="alpha,gamma,delta starting point for the cycle system")
     p.add_argument("--out", default=None)

@@ -16,6 +16,11 @@ TWO_PI = 2.0 * math.pi
 # sum-constraint tolerance; sits well above double accumulation error
 SUM_TOL = 1e-9
 
+# rounding slack at the degenerate boundary: a canonical pair sum may pass
+# pi, and an endpoint edge pi, by this much; the sine of such a pair sum is
+# then above -_EDGE_SLACK and _triangle_edges clamps it to 0
+_EDGE_SLACK = 1e-12
+
 
 class QuadrangleError(ValueError):
     """Base class for domain validation failures."""
@@ -31,10 +36,6 @@ class SumMismatchError(QuadrangleError):
 
 class DomainError(QuadrangleError):
     """An operation was called outside its domain of validity."""
-
-
-class DegenerateFamilyError(QuadrangleError):
-    """The closure system does not have a 1-dimensional solution set."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class EdgeTuple:
     degenerate: bool = False
 
     def __post_init__(self):
-        hi = math.pi + 1e-12 if self.degenerate else math.pi
+        hi = math.pi + _EDGE_SLACK if self.degenerate else math.pi
         for i, v in enumerate(self.as_tuple(), start=1):
             lo_ok = v >= 0.0 if self.degenerate else v > 0.0
             if not (lo_ok and v < hi):
@@ -164,7 +165,7 @@ def _canonical_shift(t):
     """The shift canonicalize picks for the float 4-tuple t, or None if there is none."""
     for r in range(4):
         a, _, g, d = t[r:] + t[:r]
-        if d + a <= math.pi + SUM_TOL and g + d <= math.pi + SUM_TOL:
+        if d + a <= math.pi + _EDGE_SLACK and g + d <= math.pi + _EDGE_SLACK:
             return r
     return None
 
@@ -174,7 +175,7 @@ def canonicalize(q: AngleTuple) -> CanonicalLabeling:
 
     Such a shift always exists: the four adjacent pair sums satisfy
     s1+s3 = s2+s4 = 2*pi, which forces a vertex whose two adjacent sums
-    are both <= pi.  Boundary equalities are admitted within SUM_TOL.
+    are both <= pi.  Boundary equalities are admitted within _EDGE_SLACK.
     """
     r = _canonical_shift(q.as_tuple())
     if r is None:
@@ -191,11 +192,11 @@ def _triangle_edges(phi, psi):
     unvalidated.
     """
     s_phi, s_psi, s_sum = math.sin(phi), math.sin(psi), math.sin(phi + psi)
-    den = s_phi + s_psi + s_sum
     # degenerate boundary cases make sin() of an angle sum ~pi come out
-    # as a tiny negative number
-    if -1e-12 < s_sum < 0.0:
+    # as a tiny negative number; clamped before the sum, the edges add to 2*pi
+    if -_EDGE_SLACK < s_sum < 0.0:
         s_sum = 0.0
+    den = s_phi + s_psi + s_sum
     return TWO_PI * s_phi / den, TWO_PI * s_psi / den, TWO_PI * s_sum / den
 
 
@@ -260,7 +261,7 @@ def _balanced_edge_floats(q):
     a, _, g, d = q[r:] + q[:r]
     x4f, x2f, x1f = _triangle_edges(a, d)
     x1s, x3s, x4s = _triangle_edges(g, d)
-    hi = math.pi + 1e-12
+    hi = math.pi + _EDGE_SLACK
     for e1, e2, e3 in ((x1f, x2f, x4f), (x1s, x3s, x4s)):
         if not (0.0 <= e1 < hi and 0.0 <= e2 < hi and 0.0 <= e3 < hi):
             raise OutOfRangeError(f"degenerate endpoint {(e1, e2, e3)} outside edge range")
@@ -306,7 +307,7 @@ def balanced_edges_oracle(q: AngleTuple):
     rhs = np.array([0.0, 0.0, TWO_PI])
     u, sv, vt = np.linalg.svd(m)
     if sv[2] < 1e-12 * sv[0]:
-        raise DegenerateFamilyError("closure system is rank-deficient")
+        raise DomainError("closure system is rank-deficient")
     particular, *_ = np.linalg.lstsq(m, rhs, rcond=None)
     null = vt[3]
 
@@ -317,7 +318,7 @@ def balanced_edges_oracle(q: AngleTuple):
         elif dir_i < -1e-14:
             t_hi = min(t_hi, -base_i / dir_i)
     if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
-        raise DegenerateFamilyError("feasible segment is empty or unbounded")
+        raise DomainError("feasible segment is empty or unbounded")
 
     t_mid = (t_lo + t_hi) / 2.0
     mid = particular + t_mid * null

@@ -31,22 +31,6 @@ class NoSignChangeError(SolverError):
     pass
 
 
-class NonFiniteError(SolverError):
-    pass
-
-
-class DerivativeVanishesError(SolverError):
-    pass
-
-
-class MaxIterationsError(SolverError):
-    pass
-
-
-class StepCollapseError(SolverError):
-    pass
-
-
 class BoundaryTooCloseError(SolverError):
     pass
 
@@ -109,7 +93,7 @@ def bisect(fn: Callable[[float], float], lo: float, hi: float,
     provenance = f"bisection on {[lo, hi]}"
     f_lo, f_hi = fn(lo), fn(hi)
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
-        raise NonFiniteError("function not finite at bracket endpoints")
+        raise SolverError("function not finite at bracket endpoints")
     if f_lo == 0.0:
         return SolveResult(lo, 0.0, 0, True, provenance)
     if f_hi == 0.0:
@@ -120,7 +104,7 @@ def bisect(fn: Callable[[float], float], lo: float, hi: float,
         mid = 0.5 * (lo + hi)
         f_mid = fn(mid)
         if not math.isfinite(f_mid):
-            raise NonFiniteError(f"function not finite at {mid}")
+            raise SolverError(f"function not finite at {mid}")
         if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
             lo, f_lo = mid, f_mid
         else:
@@ -143,17 +127,13 @@ def c_map_slope(a: float) -> float:
     return (c_map(a + FD_STEP) - c_map(a - FD_STEP)) / (2.0 * FD_STEP)
 
 
-def solve_trapezoid_fixed_point(tol: float = 1e-13,
-                                bracket=TRAPEZOID_BRACKET) -> TrapezoidFixedPoints:
-    """The nontrivial root of c(a) = a by bisection to a final bracket width
-    tol, plus the analytic fixed point pi/2, which the bracket must exclude.
+def solve_trapezoid_fixed_point(tol: float = 1e-13) -> TrapezoidFixedPoints:
+    """The nontrivial root of c(a) = a by bisection on TRAPEZOID_BRACKET to a
+    final bracket width tol, plus the analytic fixed point pi/2.
     """
     if not 1e-14 <= tol < math.inf:   # a NaN tol fails here too
         raise DomainError("tol must be finite and at least 1e-14")
-    lo, hi = bracket
-    if not 0.0 < lo < hi < math.pi / 2:   # NaN fails here too
-        raise DomainError(f"bracket {list(bracket)} must satisfy 0 < lo < hi < pi/2")
-    result = bisect(lambda a: c_map(a) - a, lo, hi, tol=tol)
+    result = bisect(lambda a: c_map(a) - a, *TRAPEZOID_BRACKET, tol=tol)
     return TrapezoidFixedPoints(attracting=result, repelling=math.pi / 2.0)
 
 
@@ -216,7 +196,7 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
             jac = fd_jacobian(cycle_system_rhs, ChartPoint(*v)) - np.eye(3)
             s = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
-            raise DerivativeVanishesError("singular Newton Jacobian") from exc
+            raise SolverError("singular Newton Jacobian") from exc
         lam = 1.0
         while True:
             trial = v + lam * s
@@ -226,11 +206,11 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
                 break
             lam *= 0.5
             if lam < 2.0 ** -20:
-                raise StepCollapseError("line search damping collapsed")
+                raise SolverError("line search damping collapsed")
         v, res, norm = trial, trial_res, trial_norm
     if norm <= tol:
         return SolveResult(ChartPoint(*v), float(norm), max_iter, True, provenance)
-    raise MaxIterationsError(f"residual {norm} above tol {tol} after {max_iter} iterations")
+    raise SolverError(f"residual {norm} above tol {tol} after {max_iter} iterations")
 
 
 def fd_jacobian(chart_map: Callable[[ChartPoint], ChartPoint],
@@ -249,7 +229,7 @@ def fd_jacobian(chart_map: Callable[[ChartPoint], ChartPoint],
         jac[:, j] = (chart_map(ChartPoint(*(v + e))).as_array()
                      - chart_map(ChartPoint(*(v - e))).as_array()) / (2.0 * h)
     if not np.all(np.isfinite(jac)):
-        raise NonFiniteError("Jacobian has non-finite entries")
+        raise SolverError("Jacobian has non-finite entries")
     return jac
 
 

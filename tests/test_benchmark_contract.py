@@ -7,6 +7,7 @@ benchmark files are parsed, not imported, so nothing under perfbench/ is
 executed or written.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -15,8 +16,10 @@ from pathlib import Path
 import pytest
 
 from quadmap import solvers, verify
+from quadmap.cli import build_parser
 
-LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+LAYERTRACE = PERFBENCH / "layertrace.py"
 
 
 def _literal(name):
@@ -58,3 +61,63 @@ def test_solver_iterations_are_ints():
     # the tracer adds these up as counts
     assert type(solvers.solve_trapezoid_fixed_point().attracting.iterations) is int
     assert type(solvers.solve_cycle_system().iterations) is int
+
+
+SUBCOMMANDS = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _command(node):
+    """The subcommand an ast list literal starts with, or None."""
+    first = node.elts[0] if node.elts else None
+    if isinstance(first, ast.Constant) and first.value in SUBCOMMANDS:
+        return first.value
+    return None
+
+
+def _words(node):
+    return [e.value for e in node.elts
+            if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+
+
+def _benchmark_argvs():
+    """The constant strings of each argv list literal in perfbench/run.py.
+
+    A list that starts with a subcommand is an argv.  A list appended to a
+    name (``argv += [...]``) extends the argv last assigned to that name in
+    the same function, and is returned with that subcommand in front.
+    """
+    argvs = {}   # keyed by list node: a nested function is walked twice
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        assigned = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.List) and _command(node):
+                argvs[node] = _words(node)
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.List) \
+                    and _command(node.value) and isinstance(node.targets[0], ast.Name):
+                assigned[node.targets[0].id] = _command(node.value)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.value, ast.List) \
+                    and getattr(node.target, "id", None) in assigned:
+                argvs[node.value] = [assigned[node.target.id], *_words(node.value)]
+    return list(argvs.values())
+
+
+def test_benchmark_argvs_are_found():
+    # eleven commands in run.py, plus the --max-iter appended to basin's
+    assert len(_benchmark_argvs()) == 12
+
+
+@pytest.mark.parametrize("words", _benchmark_argvs(), ids=" ".join)
+def test_benchmark_argvs_parse(words):
+    # a CLI deletion the benchmark still uses fails here, not only in a run
+    command, *rest = words
+    sub = SUBCOMMANDS[command]
+    for word in rest:
+        if word.startswith("--"):
+            assert word in sub._option_string_actions, (command, word)
+    if command == "solve":
+        target = next(a for a in sub._actions if a.dest == "target")
+        assert rest[0] in target.choices

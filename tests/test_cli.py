@@ -200,6 +200,13 @@ class TestBasin:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_margin_next_to_the_square(self, capsys):
+        # every start lies within 1e-10 of the square, which the map repels
+        code, out = run(capsys, "basin", "--samples", "1",
+                        "--margin", "1.5707963267", "--seed", "42")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[5] == "general_2cycle"
+
     def test_unconverged_residual_is_detector_distance(self, capsys):
         # orbits cut at 300 steps sit on their 2-cycle: the residual column
         # holds the rotation-quotient distance to a state up to P_MAX steps
@@ -243,15 +250,18 @@ class TestSolve:
         assert float(payload["beta"]) == pytest.approx(
             1.82405188512759300508614890573, abs=1e-9)
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--bracket-hi", repr(PI / 2)),   # bisection would return the repelling root
-        ("--bracket-hi", "2"),
-        ("--bracket-lo", "nan"),
-    ])
-    def test_trapezoid_bad_bracket_exit_2(self, capsys, flag, value):
-        code, err = run_bounded(capsys, 10, "solve", "trapezoid", flag, value)
+    @pytest.mark.parametrize("flag", ["--bracket-lo", "--bracket-hi"])
+    def test_trapezoid_bracket_is_not_an_option(self, capsys, flag):
+        # the bracket is fixed: c(a) = a has one root in (0, pi/2)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "trapezoid", flag, "1.45"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_trapezoid_rejects_initial(self, capsys):
+        code, err = run_bounded(capsys, 10, "solve", "trapezoid", "--initial", "1,1,1")
         assert code == 2
-        assert err.startswith("error:") and "bracket" in err
+        assert err == "error: --initial applies to solve cycle only\n"
 
     def test_cycle_bad_initial_exit_2(self, capsys):
         assert main(["solve", "cycle", "--initial", "1.0,2.0"]) == 2
@@ -389,9 +399,7 @@ ARGVS = st.one_of(
               _opt("--margin", st.floats(0.0, 1.5) | st.just(math.nan)), TOL, MAX_ITER),
     st.tuples(st.just(["curve"]), _opt("--from", FLOATS), _opt("--to", FLOATS),
               _req("--samples", st.integers(-1, 20))),
-    st.tuples(st.just(["solve", "trapezoid"]), TOL,
-              _opt("--bracket-lo", FLOATS), _opt("--bracket-hi", FLOATS)),
-    st.tuples(st.just(["solve", "cycle"]), TOL,
+    st.tuples(st.sampled_from([["solve", "trapezoid"], ["solve", "cycle"]]), TOL,
               _opt("--initial", st.tuples(FLOATS, FLOATS, FLOATS).map(
                   lambda t: ",".join(repr(v) for v in t)))),
     st.tuples(st.just(["stability"]), ANGLES, _opt("--order", st.integers(-1, 3))),

@@ -193,6 +193,23 @@ class TestBalancedEdgeFloats:
             q = sample_angle_tuple(rng, margin=margin)
             assert core._balanced_edge_floats(q.as_tuple()) == step(q).as_tuple()
 
+    @pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-11])
+    def test_steps_next_to_the_square(self, eps):
+        # shift 0 has d + a = pi + 6.7e-10 at eps = 1e-9; taken as canonical,
+        # its sine is past the clamp and x1 comes out about -2.09 * eps
+        q = AngleTuple(PI / 2 + eps, PI / 2 - eps, PI / 2 + eps / 3,
+                       TWO_PI - (3 * PI / 2 + eps / 3))
+        assert core._balanced_edge_floats(q.as_tuple()) == step(q).as_tuple()
+
+    def test_states_near_the_square_step(self, rng):
+        # log-uniform distances 1e-13...1e-3 from the square; a clamped
+        # endpoint must still sum to 2*pi, or its long edges overshoot pi
+        for _ in range(2000):
+            s = 10.0 ** rng.uniform(-13.0, -3.0)
+            a, b, g = (float(PI / 2 + s * u) for u in rng.uniform(-1.0, 1.0, 3))
+            q = AngleTuple(a, b, g, TWO_PI - (a + b + g))
+            assert core._balanced_edge_floats(q.as_tuple()) == step(q).as_tuple()
+
     def test_no_canonical_shift_is_domain_error(self):
         with pytest.raises(DomainError):
             core._balanced_edge_floats((3.0, 3.0, 3.0, 3.0))

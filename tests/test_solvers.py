@@ -87,18 +87,6 @@ class TestTrapezoidFixedPoint:
         with pytest.raises(DomainError):
             solve_trapezoid_fixed_point(tol=1e-16)
 
-    @pytest.mark.parametrize("bracket", [
-        (1.4, PI / 2),        # would hand back the repelling root pi/2
-        (1.4, 2.0),
-        (0.0, 1.5),
-        (1.5, 1.4),
-        (math.nan, 1.5),
-        (1.4, math.nan),
-    ], ids=["pi/2", "2", "0", "reversed", "nan-lo", "nan-hi"])
-    def test_bracket_guard(self, bracket):
-        with pytest.raises(DomainError, match="bracket"):
-            solve_trapezoid_fixed_point(bracket=bracket)
-
 
 @pytest.mark.parametrize("a", [0.3, 1.0, A_STAR, 1.5])
 def test_c_map_slope_matches_closed_form(a):
