@@ -250,13 +250,19 @@ class TestSolve:
         assert float(payload["beta"]) == pytest.approx(
             1.82405188512759300508614890573, abs=1e-9)
 
-    @pytest.mark.parametrize("flag", ["--bracket-lo", "--bracket-hi"])
-    def test_trapezoid_bracket_is_not_an_option(self, capsys, flag):
-        # the bracket is fixed: c(a) = a has one root in (0, pi/2)
+    @pytest.mark.parametrize("flag,value", [
+        ("--bracket-hi", repr(PI / 2)),
+        ("--bracket-hi", "2"),
+        ("--bracket-lo", "nan"),
+    ])
+    def test_trapezoid_bad_bracket_exit_2(self, capsys, flag, value):
+        # the bracket is fixed: c(a) = a has one root in (0, pi/2), so no
+        # bracket flag is accepted, whatever its value
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "trapezoid", flag, "1.45"])
+            main(["solve", "trapezoid", flag, value])
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
 
     def test_trapezoid_rejects_initial(self, capsys):
         code, err = run_bounded(capsys, 10, "solve", "trapezoid", "--initial", "1,1,1")
