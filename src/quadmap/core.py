@@ -162,12 +162,12 @@ def reflect_labels_edges(e: EdgeTuple) -> EdgeTuple:
 
 
 def _canonical_shift(t):
-    """The shift canonicalize picks for the float 4-tuple t, or None if there is none."""
+    """The shift canonicalize picks for the float 4-tuple t."""
     for r in range(4):
         a, _, g, d = t[r:] + t[:r]
         if d + a <= math.pi + _EDGE_SLACK and g + d <= math.pi + _EDGE_SLACK:
             return r
-    return None
+    raise DomainError("no canonical labeling found; input angles inconsistent")
 
 
 def canonicalize(q: AngleTuple) -> CanonicalLabeling:
@@ -178,8 +178,6 @@ def canonicalize(q: AngleTuple) -> CanonicalLabeling:
     are both <= pi.  Boundary equalities are admitted within _EDGE_SLACK.
     """
     r = _canonical_shift(q.as_tuple())
-    if r is None:
-        raise DomainError("no canonical labeling found; input angles inconsistent")
     return CanonicalLabeling(r, AngleTuple(*rotate_labels(q, r)))
 
 
@@ -208,7 +206,7 @@ def degenerate_edges_first(alpha, delta) -> EdgeTuple:
     """
     if not (0.0 < alpha < math.pi and 0.0 < delta < math.pi):
         raise DomainError("alpha and delta must lie in (0, pi)")
-    if alpha + delta > math.pi + SUM_TOL:
+    if alpha + delta > math.pi + _EDGE_SLACK:
         raise DomainError("alpha + delta must not exceed pi")
     x4, x2, x1 = _triangle_edges(alpha, delta)
     return EdgeTuple(x1, x2, 0.0, x4, degenerate=True)
@@ -218,7 +216,7 @@ def degenerate_edges_second(gamma, delta) -> EdgeTuple:
     """Edges of the degenerate (triangle) endpoint with x2 = 0."""
     if not (0.0 < gamma < math.pi and 0.0 < delta < math.pi):
         raise DomainError("gamma and delta must lie in (0, pi)")
-    if gamma + delta > math.pi + SUM_TOL:
+    if gamma + delta > math.pi + _EDGE_SLACK:
         raise DomainError("gamma + delta must not exceed pi")
     x1, x3, x4 = _triangle_edges(gamma, delta)
     return EdgeTuple(x1, 0.0, x3, x4, degenerate=True)
@@ -256,8 +254,6 @@ def _balanced_edge_floats(q):
     endpoint and image checks raise what the validated types would.
     """
     r = _canonical_shift(q)
-    if r is None:
-        raise DomainError("no canonical labeling found; input angles inconsistent")
     a, _, g, d = q[r:] + q[:r]
     x4f, x2f, x1f = _triangle_edges(a, d)
     x1s, x3s, x4s = _triangle_edges(g, d)

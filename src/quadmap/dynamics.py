@@ -34,6 +34,10 @@ SQUARE = AngleTuple(math.pi / 2, math.pi / 2, math.pi / 2, math.pi / 2)
 # attracting fixed point of the trapezoid submap, double-precision value
 A_STAR = 1.48342158769377952440379165224
 
+# published figures, to the digits printed: the submap slope c'(a*), and the
+# spectral radii of f at the square and of f^2 at the generic 2-cycle
+SLOPE_AT_A_STAR, RHO_SQUARE, RHO_CYCLE = 0.803, 1.1107, 0.9105
+
 # one-sided limit of the trapezoid submap at a -> 0+
 C_AT_ZERO = math.pi / (math.sqrt(2.0) + 1.0)
 
@@ -128,30 +132,28 @@ def rotation_distance(p: AngleTuple, q: AngleTuple) -> float:
     return relabel_distance(p, q, ROTATIONS)
 
 
-def _pair_distance(reps, pair):
-    """Distance of a detected 2-cycle to a known pair, up to state order and relabeling."""
-    r0, r1 = reps
-    p0, p1 = pair
-    direct = max(dihedral_distance(r0, p0), dihedral_distance(r1, p1))
-    swapped = max(dihedral_distance(r0, p1), dihedral_distance(r1, p0))
-    return min(direct, swapped)
+# the known limit sets in match order; the square comes first, since it is
+# also the degenerate trapezoid case
+KNOWN_CYCLES = (
+    ("square_fixed", (SQUARE,)),
+    ("trapezoid_2cycle", trapezoid_cycle_pair()),
+    ("general_2cycle", general_cycle_pair()),
+)
 
 
-def _classify(reps, period):
-    # square first: it is the exact fixed point and also the degenerate
-    # trapezoid case, so the order matters
-    if period == 1:
-        d = dihedral_distance(reps[0], SQUARE)
-        if d < MATCH_TOL:
-            return "square_fixed", d
-        return "other_cycle", math.inf
-    if period == 2:
-        d_trap = _pair_distance(reps, trapezoid_cycle_pair())
-        if d_trap < MATCH_TOL:
-            return "trapezoid_2cycle", d_trap
-        d_gen = _pair_distance(reps, general_cycle_pair())
-        if d_gen < MATCH_TOL:
-            return "general_2cycle", d_gen
+def _cycle_distance(reps, known):
+    """Distance of detected cycle states to a known cycle, up to state order and relabeling."""
+    n = len(known)
+    return min(max(dihedral_distance(r, known[(i + shift) % n]) for i, r in enumerate(reps))
+               for shift in range(n))
+
+
+def _classify(reps):
+    for name, known in KNOWN_CYCLES:
+        if len(known) == len(reps):
+            d = _cycle_distance(reps, known)
+            if d < MATCH_TOL:
+                return name, d
     return "other_cycle", math.inf
 
 
@@ -198,7 +200,7 @@ def _trajectory(q0, states, period):
     if period is None:
         return Trajectory(states, None)
     reps = tuple(step(s) for s in states[-period - 1:-1])
-    classification, match = _classify(reps, period)
+    classification, match = _classify(reps)
     residual = rotation_distance(states[-1], states[-1 - period])
     cycle = CycleInfo(period, reps, classification, residual, match)
     return Trajectory(states, cycle)

@@ -3,6 +3,7 @@ end-to-end CLI gate.  Run with `pytest -s tests/test_acceptance.py` to see
 the per-criterion pass/fail lines.
 """
 
+import dataclasses
 import math
 import time
 
@@ -44,6 +45,68 @@ def test_boundary_check_compares_the_closed_form_with_the_map(monkeypatch):
 
     monkeypatch.setattr(verify, "c_map", shifted)
     assert not verify.check_boundary_values().passed
+
+
+# each verify gate holds the printed figure to what the code attains; a
+# shift well inside the earlier, looser gate must now fail the check
+
+
+def test_a_star_gate_is_a_few_ulp(monkeypatch):
+    original = verify.solve_trapezoid_fixed_point
+
+    def shifted(tol):
+        fp = original(tol=tol)
+        a = fp.attracting.solution + 5 * math.ulp(verify.A_STAR)
+        return dataclasses.replace(
+            fp, attracting=dataclasses.replace(fp.attracting, solution=a))
+
+    monkeypatch.setattr(verify, "solve_trapezoid_fixed_point", shifted)
+    assert not verify.check_trapezoid_fixed_point().passed
+
+
+def test_cycle_angle_gate_is_1e_14(monkeypatch):
+    original = verify.solve_cycle_system
+
+    def shifted(tol):
+        result = original(tol=tol)
+        sol = dataclasses.replace(result.solution, alpha=result.solution.alpha + 1e-12)
+        return dataclasses.replace(result, solution=sol)
+
+    monkeypatch.setattr(verify, "solve_cycle_system", shifted)
+    assert not verify.check_general_cycle_solution().passed
+
+
+def test_cycle_residual_gate_is_1e_14(monkeypatch):
+    original = verify.cycle_system_rhs
+
+    def shifted(p):
+        r = original(p)
+        return dataclasses.replace(r, gamma=r.gamma + 1e-12)
+
+    monkeypatch.setattr(verify, "cycle_system_rhs", shifted)
+    assert not verify.check_general_cycle_solution().passed
+
+
+def test_slope_gate_is_1e_3(monkeypatch):
+    # c'(a*) reads 0.80325; shifted by 2e-3 it reads 0.8052
+    original = verify.c_map_slope
+    monkeypatch.setattr(verify, "c_map_slope", lambda a: original(a) + 2e-3)
+    assert not verify.check_slope_at_fixed_point().passed
+
+
+@pytest.mark.parametrize("order", [1, 2], ids=["square", "cycle"])
+def test_spectral_radius_gates_are_1e_4(monkeypatch, order):
+    # rho(square) reads 1.11072 and rho(cycle, f^2) 0.91045
+    original = verify.stability_report
+
+    def shifted(q, map_order):
+        report = original(q, map_order=map_order)
+        if map_order != order:
+            return report
+        return dataclasses.replace(report, spectral_radius=report.spectral_radius + 2e-4)
+
+    monkeypatch.setattr(verify, "stability_report", shifted)
+    assert not verify.check_stability_spectra().passed
 
 
 def test_cli_verify_end_to_end(capsys):

@@ -128,6 +128,19 @@ class TestDegenerateEdges:
         with pytest.raises(DomainError):
             degenerate_edges_second(2.0, 2.0)
 
+    @pytest.mark.parametrize("excess", [1e-10, 2e-9])
+    @pytest.mark.parametrize("endpoint", [degenerate_edges_first, degenerate_edges_second])
+    def test_pair_sum_past_pi_is_domain_error(self, endpoint, excess):
+        # the guard admits what the canonical shift admits, 1e-12 past pi;
+        # further out the sine clamp cannot repair the endpoint edges
+        with pytest.raises(DomainError, match="must not exceed pi"):
+            endpoint(PI / 2 + excess, PI / 2)
+
+    @pytest.mark.parametrize("endpoint", [degenerate_edges_first, degenerate_edges_second])
+    def test_pair_sum_within_slack_builds(self, endpoint):
+        e = endpoint(PI / 2 + 5e-13, PI / 2)
+        assert sum(e.as_tuple()) == pytest.approx(TWO_PI, abs=1e-12)
+
     def test_perimeter(self):
         e = degenerate_edges_first(0.7, 1.9)
         assert sum(e.as_tuple()) == pytest.approx(TWO_PI, abs=1e-9)

@@ -221,7 +221,7 @@ def reference_iterate(q0, max_iter=10000, tol=1e-12):
         for p in range(1, P_MAX + 1):
             if streak[p] >= CONFIRMATIONS:
                 reps = tuple(states[-p:])
-                classification, match = _classify(reps, p)
+                classification, match = _classify(reps)
                 cycle = CycleInfo(p, reps, classification, last_d[p], match)
                 return Trajectory(tuple(states), cycle)
     return Trajectory(tuple(states), None)
