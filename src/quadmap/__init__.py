@@ -3,13 +3,10 @@
 from .core import (
     AngleTuple,
     CanonicalLabeling,
-    DomainError,
     EdgeTuple,
     FeasibleSegment,
-    OutOfRangeError,
     PlanarPolygon,
     QuadrangleError,
-    SumMismatchError,
     balanced_edges,
     balanced_edges_oracle,
     canonicalize,

@@ -23,19 +23,7 @@ _EDGE_SLACK = 1e-12
 
 
 class QuadrangleError(ValueError):
-    """Base class for domain validation failures."""
-
-
-class OutOfRangeError(QuadrangleError):
-    """A component lies outside its allowed interval."""
-
-
-class SumMismatchError(QuadrangleError):
-    """Components do not sum to 2*pi within tolerance."""
-
-
-class DomainError(QuadrangleError):
-    """An operation was called outside its domain of validity."""
+    """Invalid input, or an operation called outside its domain of validity."""
 
 
 @dataclass(frozen=True)
@@ -50,12 +38,10 @@ class AngleTuple:
     def __post_init__(self):
         for name, v in zip("alpha beta gamma delta".split(), self.as_tuple()):
             if not (0.0 < v < math.pi):
-                raise OutOfRangeError(
-                    f"{name} = {v} must lie strictly inside (0, pi)"
-                )
+                raise QuadrangleError(f"{name} = {v} must lie strictly inside (0, pi)")
         s = sum(self.as_tuple())
         if abs(s - TWO_PI) > SUM_TOL:
-            raise SumMismatchError(f"angle sum {s} differs from 2*pi")
+            raise QuadrangleError(f"angle sum {s} differs from 2*pi")
 
     def as_tuple(self):
         return (self.alpha, self.beta, self.gamma, self.delta)
@@ -80,10 +66,10 @@ class EdgeTuple:
         for i, v in enumerate(self.as_tuple(), start=1):
             lo_ok = v >= 0.0 if self.degenerate else v > 0.0
             if not (lo_ok and v < hi):
-                raise OutOfRangeError(f"x{i} = {v} outside allowed edge range")
+                raise QuadrangleError(f"x{i} = {v} outside allowed edge range")
         s = sum(self.as_tuple())
         if abs(s - TWO_PI) > SUM_TOL:
-            raise SumMismatchError(f"edge sum {s} differs from 2*pi")
+            raise QuadrangleError(f"edge sum {s} differs from 2*pi")
 
     def as_tuple(self):
         return (self.x1, self.x2, self.x3, self.x4)
@@ -167,7 +153,7 @@ def _canonical_shift(t):
         a, _, g, d = t[r:] + t[:r]
         if d + a <= math.pi + _EDGE_SLACK and g + d <= math.pi + _EDGE_SLACK:
             return r
-    raise DomainError("no canonical labeling found; input angles inconsistent")
+    raise QuadrangleError("no canonical labeling found; input angles inconsistent")
 
 
 def canonicalize(q: AngleTuple) -> CanonicalLabeling:
@@ -205,9 +191,9 @@ def degenerate_edges_first(alpha, delta) -> EdgeTuple:
     surviving vertices and perimeter 2*pi.
     """
     if not (0.0 < alpha < math.pi and 0.0 < delta < math.pi):
-        raise DomainError("alpha and delta must lie in (0, pi)")
+        raise QuadrangleError("alpha and delta must lie in (0, pi)")
     if alpha + delta > math.pi + _EDGE_SLACK:
-        raise DomainError("alpha + delta must not exceed pi")
+        raise QuadrangleError("alpha + delta must not exceed pi")
     x4, x2, x1 = _triangle_edges(alpha, delta)
     return EdgeTuple(x1, x2, 0.0, x4, degenerate=True)
 
@@ -215,9 +201,9 @@ def degenerate_edges_first(alpha, delta) -> EdgeTuple:
 def degenerate_edges_second(gamma, delta) -> EdgeTuple:
     """Edges of the degenerate (triangle) endpoint with x2 = 0."""
     if not (0.0 < gamma < math.pi and 0.0 < delta < math.pi):
-        raise DomainError("gamma and delta must lie in (0, pi)")
+        raise QuadrangleError("gamma and delta must lie in (0, pi)")
     if gamma + delta > math.pi + _EDGE_SLACK:
-        raise DomainError("gamma + delta must not exceed pi")
+        raise QuadrangleError("gamma + delta must not exceed pi")
     x1, x3, x4 = _triangle_edges(gamma, delta)
     return EdgeTuple(x1, 0.0, x3, x4, degenerate=True)
 
@@ -251,7 +237,7 @@ def _balanced_edge_floats(q):
     """step(AngleTuple(*q)).as_tuple() on plain floats, for q a valid angle 4-tuple.
 
     Same operations in the same order as balanced_edges, so bitwise equal;
-    endpoint and image checks raise what the validated types would.
+    endpoint and image checks raise QuadrangleError, as the validated types do.
     """
     r = _canonical_shift(q)
     a, _, g, d = q[r:] + q[:r]
@@ -260,17 +246,17 @@ def _balanced_edge_floats(q):
     hi = math.pi + _EDGE_SLACK
     for e1, e2, e3 in ((x1f, x2f, x4f), (x1s, x3s, x4s)):
         if not (0.0 <= e1 < hi and 0.0 <= e2 < hi and 0.0 <= e3 < hi):
-            raise OutOfRangeError(f"degenerate endpoint {(e1, e2, e3)} outside edge range")
+            raise QuadrangleError(f"degenerate endpoint {(e1, e2, e3)} outside edge range")
         if abs(e1 + e2 + e3 - TWO_PI) > SUM_TOL:
-            raise SumMismatchError(f"degenerate endpoint {(e1, e2, e3)} does not sum to 2*pi")
+            raise QuadrangleError(f"degenerate endpoint {(e1, e2, e3)} does not sum to 2*pi")
     mid = ((x1f + x1s) / 2.0, (x2f + 0.0) / 2.0, (0.0 + x3s) / 2.0, (x4f + x4s) / 2.0)
     k = -r % 4
     o1, o2, o3, o4 = out = mid[k:] + mid[:k]
     if not (0.0 < o1 < math.pi and 0.0 < o2 < math.pi
             and 0.0 < o3 < math.pi and 0.0 < o4 < math.pi):
-        raise OutOfRangeError(f"image {out} must lie strictly inside (0, pi)")
+        raise QuadrangleError(f"image {out} must lie strictly inside (0, pi)")
     if abs(o1 + o2 + o3 + o4 - TWO_PI) > SUM_TOL:
-        raise SumMismatchError(f"image {out} does not sum to 2*pi")
+        raise QuadrangleError(f"image {out} does not sum to 2*pi")
     return out
 
 
@@ -303,7 +289,7 @@ def balanced_edges_oracle(q: AngleTuple):
     rhs = np.array([0.0, 0.0, TWO_PI])
     u, sv, vt = np.linalg.svd(m)
     if sv[2] < 1e-12 * sv[0]:
-        raise DomainError("closure system is rank-deficient")
+        raise QuadrangleError("closure system is rank-deficient")
     particular, *_ = np.linalg.lstsq(m, rhs, rcond=None)
     null = vt[3]
 
@@ -314,7 +300,7 @@ def balanced_edges_oracle(q: AngleTuple):
         elif dir_i < -1e-14:
             t_hi = min(t_hi, -base_i / dir_i)
     if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
-        raise DomainError("feasible segment is empty or unbounded")
+        raise QuadrangleError("feasible segment is empty or unbounded")
 
     t_mid = (t_lo + t_hi) / 2.0
     mid = particular + t_mid * null

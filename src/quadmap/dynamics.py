@@ -17,8 +17,8 @@ from .core import (
     DIHEDRAL,
     ROTATIONS,
     AngleTuple,
-    DomainError,
     EdgeTuple,
+    QuadrangleError,
     _balanced_edge_floats,
     balanced_edges,
     reflect_labels_angles,
@@ -78,7 +78,7 @@ def step(q: AngleTuple) -> AngleTuple:
 def c_map(a: float) -> float:
     """The trapezoid submap: base angle after a double step of the full map."""
     if not (0.0 < a <= math.pi / 2):
-        raise DomainError("c_map requires a in (0, pi/2]")
+        raise QuadrangleError("c_map requires a in (0, pi/2]")
     theta = math.pi / (2.0 + 2.0 * math.cos(a))
     return math.pi / (1.0 + math.sin(theta) + math.cos(theta))
 
@@ -86,7 +86,7 @@ def c_map(a: float) -> float:
 def trapezoid_edges(a: float) -> EdgeTuple:
     """Balanced edges of the equal-opposite-angle state with parameter a."""
     if not (0.0 < a <= math.pi / 2):
-        raise DomainError("trapezoid_edges requires a in (0, pi/2]")
+        raise QuadrangleError("trapezoid_edges requires a in (0, pi/2]")
     u = math.pi / (2.0 + 2.0 * math.cos(a))
     v = math.pi / 2.0 + math.pi * math.cos(a) / (1.0 + math.cos(a))
     return EdgeTuple(u, math.pi / 2.0, u, v)
@@ -95,7 +95,7 @@ def trapezoid_edges(a: float) -> EdgeTuple:
 def trapezoid_angles(a: float) -> AngleTuple:
     """The isosceles trapezoid state (a, pi-a, pi-a, a)."""
     if not (0.0 < a <= math.pi / 2):
-        raise DomainError("trapezoid_angles requires a in (0, pi/2]")
+        raise QuadrangleError("trapezoid_angles requires a in (0, pi/2]")
     return AngleTuple(a, math.pi - a, math.pi - a, a)
 
 
@@ -178,9 +178,9 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
     classification, not an error.
     """
     if max_iter < 1:
-        raise DomainError("max_iter must be >= 1")
+        raise QuadrangleError("max_iter must be >= 1")
     if not 0.0 < tol < math.inf:   # a NaN tol fails here too
-        raise DomainError("tol must be positive and finite")
+        raise QuadrangleError("tol must be positive and finite")
     states = [q0.as_tuple()]
     streak = [0] * (P_MAX + 1)
     for n in range(1, max_iter + 1):

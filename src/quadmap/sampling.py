@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .core import TWO_PI, AngleTuple, DomainError
+from .core import TWO_PI, AngleTuple, QuadrangleError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -23,7 +23,7 @@ def sample_angle_tuple(rng: np.random.Generator,
     """
     import numpy as np
     if not 0.0 <= margin < math.pi / 2:
-        raise DomainError(f"margin {margin} must lie in [0, pi/2)")
+        raise QuadrangleError(f"margin {margin} must lie in [0, pi/2)")
     lo, hi = margin, math.pi - margin
     while True:
         raw = rng.uniform(lo, hi, 4)
@@ -39,5 +39,5 @@ def substream(seed: int, sample_id: int) -> np.random.Generator:
     """
     import numpy as np
     if not (isinstance(seed, int) and seed >= 0):
-        raise DomainError(f"seed {seed} must be a non-negative integer")
+        raise QuadrangleError(f"seed {seed} must be a non-negative integer")
     return np.random.default_rng((seed, sample_id))

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .core import TWO_PI, AngleTuple, DomainError, _triangle_edges, canonicalize
+from .core import TWO_PI, AngleTuple, QuadrangleError, _triangle_edges, canonicalize
 from .dynamics import c_map, step
 
 if TYPE_CHECKING:
@@ -27,15 +27,7 @@ CYCLE_MAX_ITER = 100   # Newton iteration budget of the cycle solve
 
 
 class SolverError(RuntimeError):
-    """Base class for solver failures."""
-
-
-class NoSignChangeError(SolverError):
-    pass
-
-
-class BoundaryTooCloseError(SolverError):
-    pass
+    """A root-finder or linearization failed."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +83,7 @@ def bisect(fn: Callable[[float], float], lo: float, hi: float,
            tol: float = 1e-13) -> SolveResult:
     """Bracket a sign change down to width <= tol, or to adjacent doubles."""
     if not lo < hi:
-        raise DomainError("bisect requires lo < hi")
+        raise QuadrangleError("bisect requires lo < hi")
     provenance = f"bisection on {[lo, hi]}"
     f_lo, f_hi = fn(lo), fn(hi)
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
@@ -101,7 +93,7 @@ def bisect(fn: Callable[[float], float], lo: float, hi: float,
     if f_hi == 0.0:
         return SolveResult(hi, 0.0, 0, provenance)
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
-        raise NoSignChangeError(f"no sign change on [{lo}, {hi}]")
+        raise SolverError(f"no sign change on [{lo}, {hi}]")
     for it in itertools.count(1):
         mid = 0.5 * (lo + hi)
         f_mid = fn(mid)
@@ -132,7 +124,7 @@ def solve_trapezoid_fixed_point(tol: float = 1e-13) -> TrapezoidFixedPoints:
     final bracket width tol, plus the analytic fixed point pi/2.
     """
     if not 1e-14 <= tol < math.inf:   # a NaN tol fails here too
-        raise DomainError("tol must be finite and at least 1e-14")
+        raise QuadrangleError("tol must be finite and at least 1e-14")
     result = bisect(lambda a: c_map(a) - a, *TRAPEZOID_BRACKET, tol=tol)
     return TrapezoidFixedPoints(attracting=result, repelling=math.pi / 2.0)
 
@@ -163,7 +155,7 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
     """
     import numpy as np
     if not 1e-13 <= tol < math.inf:   # a NaN tol fails here too
-        raise DomainError("tol must be finite and at least 1e-13")
+        raise QuadrangleError("tol must be finite and at least 1e-13")
     if initial is None:
         # in the canonical labeling the relations nearly hold at every other
         # element of this orbit: residual 2.6e-3 at element 51, 0.41 at 50
@@ -171,7 +163,7 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
         for _ in range(51):
             q = step(q)
         initial = ChartPoint.from_angles(canonicalize(q).rotated)
-        provenance = "initial guess from 50 map iterations of a generic seed"
+        provenance = "initial guess from 51 map iterations of a generic seed"
     else:
         provenance = "caller-supplied initial guess"
 
@@ -207,9 +199,9 @@ def fd_jacobian(chart_map: Callable[[ChartPoint], ChartPoint],
     """Central-difference 3x3 Jacobian of a chart map."""
     import numpy as np
     if not 1e-8 <= h <= 1e-4:
-        raise DomainError("fd step h must lie in [1e-8, 1e-4]")
+        raise QuadrangleError("fd step h must lie in [1e-8, 1e-4]")
     if not _inside(p, h):
-        raise BoundaryTooCloseError("chart point within h of the domain boundary")
+        raise SolverError("chart point within h of the domain boundary")
     v = p.as_array()
     jac = np.empty((3, 3))
     for j in range(3):
@@ -232,7 +224,7 @@ def eigenvalue_moduli_3x3(m) -> tuple:
 def stability_report(q: AngleTuple, map_order: int = 1) -> StabilityReport:
     """Jacobian spectrum of the map (or its square) at a state, in the chart."""
     if map_order not in (1, 2):
-        raise DomainError("map_order must be 1 or 2")
+        raise QuadrangleError("map_order must be 1 or 2")
     p = ChartPoint.from_angles(q)
 
     def chart_map(c: ChartPoint) -> ChartPoint:

@@ -113,7 +113,7 @@ def check_cycle_dynamics() -> CheckResult:
     # a double step returns to a cyclic relabeling of the start; compare
     # in the rotation quotient, where the paper's quadrangles live
     d2 = rotation_distance(step(step(q)), q)
-    ok = d1 <= 1e-10 and d2 <= 1e-10
+    ok = d1 <= 1e-14 and d2 <= 1e-14
     return CheckResult(
         "cycle mirror dynamics",
         ok,
@@ -147,7 +147,7 @@ def check_trapezoid_basin() -> CheckResult:
             return CheckResult("trapezoid basin", False,
                                f"seed a={a:.3f} gave {traj.classification}")
         worst = max(worst, traj.cycle.match_distance)
-    return CheckResult("trapezoid basin", worst < 1e-5,
+    return CheckResult("trapezoid basin", worst < 1e-10,
                        f"worst distance to displayed pair {worst:.3e}")
 
 

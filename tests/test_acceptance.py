@@ -94,6 +94,31 @@ def test_slope_gate_is_1e_3(monkeypatch):
     assert not verify.check_slope_at_fixed_point().passed
 
 
+@pytest.mark.parametrize("distance", ["relabel_distance", "rotation_distance"],
+                         ids=["mirror", "double_step"])
+def test_cycle_dynamics_gates_are_1e_14(monkeypatch, distance):
+    # |step(q*) - mirror(q*)| reads 4.4e-16 and |step^2(q*) - q*| 6.7e-16
+    original = getattr(verify, distance)
+    monkeypatch.setattr(verify, distance, lambda *args: original(*args) + 1e-13)
+    assert not verify.check_cycle_dynamics().passed
+
+
+def test_trapezoid_basin_gate_is_1e_10(monkeypatch):
+    # the worst match distance reads 4.1e-12; 1e-9 is still inside the
+    # classification tolerance, so only the distance gate can reject it
+    original = verify.iterate
+
+    def shifted(q0, max_iter, tol):
+        traj = original(q0, max_iter=max_iter, tol=tol)
+        return dataclasses.replace(
+            traj, cycle=dataclasses.replace(traj.cycle, match_distance=1e-9))
+
+    monkeypatch.setattr(verify, "iterate", shifted)
+    result = verify.check_trapezoid_basin()
+    assert not result.passed
+    assert result.detail == "worst distance to displayed pair 1.000e-09"
+
+
 @pytest.mark.parametrize("order", [1, 2], ids=["square", "cycle"])
 def test_spectral_radius_gates_are_1e_4(monkeypatch, order):
     # rho(square) reads 1.11072 and rho(cycle, f^2) 0.91045

@@ -1,8 +1,10 @@
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import signal
 import subprocess
 import sys
@@ -11,9 +13,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quadmap
+import quadmap.cli
 import quadmap.core as core
 from quadmap.cli import fmt, main
-from quadmap.core import EdgeTuple
+from quadmap.core import EdgeTuple, QuadrangleError
+from quadmap.solvers import SolverError
 from quadmap.verify import run_all
 
 PI = math.pi
@@ -341,6 +346,25 @@ class TestVerify:
 def test_fmt_round_trips(rng):
     for x in rng.uniform(-10, 10, 1000):
         assert float(fmt(x)) == x
+
+
+def test_one_exception_class_per_error_exit_code(monkeypatch, capsys):
+    # a caller meets two kinds of failure, bad input (exit 2) and a failed
+    # solve (exit 3); each has exactly one class, and main maps each raise
+    defined = set()
+    for info in pkgutil.iter_modules(quadmap.__path__):
+        module = importlib.import_module(f"quadmap.{info.name}")
+        defined |= {name for name, obj in vars(module).items()
+                    if isinstance(obj, type) and issubclass(obj, Exception)
+                    and obj.__module__ == module.__name__}
+    assert defined == {"QuadrangleError", "SolverError"}
+    for exc, code, prefix in ((QuadrangleError, 2, "error"), (SolverError, 3, "solver error")):
+        def fail():
+            raise exc("reason")
+        monkeypatch.setattr(quadmap.cli, "run_all", fail)
+        assert main(["verify"]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"{prefix}: reason\n")
 
 
 COLD_PATH = """

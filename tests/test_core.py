@@ -9,9 +9,7 @@ from quadmap.core import (
     TWO_PI,
     AngleTuple,
     EdgeTuple,
-    OutOfRangeError,
-    SumMismatchError,
-    DomainError,
+    QuadrangleError,
     balanced_edges,
     balanced_edges_oracle,
     canonicalize,
@@ -38,27 +36,27 @@ class TestValidation:
         assert q.as_tuple() == SQUARE
 
     def test_boundary_angle_rejected(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(QuadrangleError, match="alpha = .* must lie strictly inside"):
             validate_angles(PI, PI / 2, PI / 2, PI)
 
     def test_sum_mismatch_rejected(self):
-        with pytest.raises(SumMismatchError):
+        with pytest.raises(QuadrangleError, match="angle sum 4.0 differs from 2"):
             validate_angles(1.0, 1.0, 1.0, 1.0)
 
     def test_no_silent_renormalization(self):
         # validation must reject rather than rescale
-        with pytest.raises(SumMismatchError):
+        with pytest.raises(QuadrangleError, match="angle sum 6.0 differs from 2"):
             validate_angles(1.5, 1.5, 1.5, 1.5)
 
     def test_edge_tuple_zero_needs_degenerate_flag(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(QuadrangleError, match="x1 = 0.0 outside allowed edge range"):
             EdgeTuple(0.0, PI / 2, PI / 2, TWO_PI - PI)
         e = EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True)
         assert e.x1 == 0.0
 
     def test_degenerate_tuple_rejected_as_angles(self):
         e = degenerate_edges_first(PI / 2, PI / 2)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(QuadrangleError, match="must lie strictly inside"):
             validate_angles(*e.as_tuple())
 
 
@@ -123,9 +121,9 @@ class TestDegenerateEdges:
         assert b == pytest.approx((a[3], 0.0, a[1], a[0]), abs=1e-14)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(QuadrangleError, match=r"alpha \+ delta must not exceed pi"):
             degenerate_edges_first(2.0, 2.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(QuadrangleError, match=r"gamma \+ delta must not exceed pi"):
             degenerate_edges_second(2.0, 2.0)
 
     @pytest.mark.parametrize("excess", [1e-10, 2e-9])
@@ -133,7 +131,7 @@ class TestDegenerateEdges:
     def test_pair_sum_past_pi_is_domain_error(self, endpoint, excess):
         # the guard admits what the canonical shift admits, 1e-12 past pi;
         # further out the sine clamp cannot repair the endpoint edges
-        with pytest.raises(DomainError, match="must not exceed pi"):
+        with pytest.raises(QuadrangleError, match="must not exceed pi"):
             endpoint(PI / 2 + excess, PI / 2)
 
     @pytest.mark.parametrize("endpoint", [degenerate_edges_first, degenerate_edges_second])
@@ -224,22 +222,30 @@ class TestBalancedEdgeFloats:
             assert core._balanced_edge_floats(q.as_tuple()) == step(q).as_tuple()
 
     def test_no_canonical_shift_is_domain_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(QuadrangleError, match="no canonical labeling"):
             core._balanced_edge_floats((3.0, 3.0, 3.0, 3.0))
 
-    @pytest.mark.parametrize("triangle, error", [
-        ((-0.1, 3.0, TWO_PI - 2.9), OutOfRangeError),   # endpoint edge < 0
-        ((1.0, 1.0, 1.0), SumMismatchError),             # endpoint sum off 2*pi
-        ((PI, 0.0, PI), OutOfRangeError),                # image edge 0 and pi
-    ])
-    def test_endpoint_and_image_checks_match_step(self, monkeypatch, triangle, error):
+    @pytest.mark.parametrize("triangle, step_reason, kernel_reason", [
+        # endpoint edges -0.1 and 2*pi - 2.9 outside [0, pi]
+        ((-0.1, 3.0, TWO_PI - 2.9), "x1 = .* outside allowed edge range",
+         "degenerate endpoint .* outside edge range"),
+        # endpoint sum off 2*pi
+        ((1.0, 1.0, 1.0), "edge sum 3.0 differs from 2",
+         "degenerate endpoint .* does not sum to 2"),
+        # image edges 0 and pi
+        ((PI, 0.0, PI), "x1 = .* outside allowed edge range",
+         "image .* must lie strictly inside"),
+    ], ids=["endpoint_range", "endpoint_sum", "image_range"])
+    def test_endpoint_and_image_checks_match_step(self, monkeypatch, triangle,
+                                                  step_reason, kernel_reason):
         # a corrupted triangle kernel feeds both paths the same endpoints;
-        # the float kernel must reject them like step's validated types
+        # the float kernel must reject them for the reason step's validated
+        # types do, each in its own wording
         monkeypatch.setattr(core, "_triangle_edges", lambda phi, psi: triangle)
         q = validate_angles(*SQUARE)
-        with pytest.raises(error):
+        with pytest.raises(QuadrangleError, match=step_reason):
             step(q)
-        with pytest.raises(error):
+        with pytest.raises(QuadrangleError, match=kernel_reason):
             core._balanced_edge_floats(q.as_tuple())
 
 

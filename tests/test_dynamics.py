@@ -7,6 +7,7 @@ from quadmap.core import (
     IDENTITY,
     AngleTuple,
     EdgeTuple,
+    QuadrangleError,
     reflect_labels_angles,
     relabel_distance,
     rotate_labels,
@@ -20,7 +21,6 @@ from quadmap.dynamics import (
     P_MAX,
     SQUARE,
     CycleInfo,
-    DomainError,
     Trajectory,
     _classify,
     c_map,
@@ -76,7 +76,7 @@ class TestCMap:
     def test_limit_at_zero(self):
         assert c_map(1e-4) == pytest.approx(PI / (math.sqrt(2) + 1), abs=1e-15)
         assert C_AT_ZERO == pytest.approx(1.3, abs=1e-2)
-        with pytest.raises(DomainError):
+        with pytest.raises(QuadrangleError, match=r"c_map requires a in \(0, pi/2\]"):
             c_map(0.0)
 
     def test_fixed_points(self):
@@ -84,9 +84,9 @@ class TestCMap:
         assert c_map(A_STAR) == pytest.approx(A_STAR, abs=1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(QuadrangleError, match=r"c_map requires a in \(0, pi/2\]"):
             c_map(PI / 2 + 0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(QuadrangleError, match=r"c_map requires a in \(0, pi/2\]"):
             c_map(-0.3)
 
     def test_monotone_increasing(self, rng):
@@ -117,9 +117,9 @@ class TestTrapezoidEdges:
             ) < 1e-12
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(QuadrangleError, match=r"trapezoid_edges requires a in \(0, pi/2\]"):
             trapezoid_edges(0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(QuadrangleError, match=r"trapezoid_angles requires a in \(0, pi/2\]"):
             trapezoid_angles(2.0)
 
 
@@ -268,7 +268,7 @@ def test_representatives_show_a_corrupted_public_kernel(monkeypatch):
 
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
 def test_iterate_rejects_non_positive_tol(tol):
-    with pytest.raises(DomainError):
+    with pytest.raises(QuadrangleError, match="tol must be positive and finite"):
         iterate(SQUARE, tol=tol)
 
 

@@ -1,14 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from quadmap.core import DomainError, balanced_edges, canonicalize
+from quadmap.core import TWO_PI, AngleTuple, QuadrangleError, balanced_edges, canonicalize
 from quadmap.dynamics import A_STAR, GENERAL_CYCLE_ANGLES, SQUARE, c_map, step
 from quadmap.solvers import (
     ChartPoint,
-    BoundaryTooCloseError,
-    NoSignChangeError,
     SolverError,
     bisect,
     c_map_slope,
@@ -49,11 +48,11 @@ class TestBisect:
         assert abs(r.solution - A_STAR) < 1e-12
 
     def test_no_sign_change(self):
-        with pytest.raises(NoSignChangeError):
+        with pytest.raises(SolverError, match="no sign change on"):
             bisect(lambda a: c_map(a) - a, 0.1, 1.4)
 
     def test_bad_bracket(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(QuadrangleError, match="bisect requires lo < hi"):
             bisect(lambda x: x, 2.0, 1.0)
 
     @pytest.mark.parametrize("fn, lo, hi, root", [
@@ -82,7 +81,7 @@ class TestTrapezoidFixedPoint:
         assert 0.75 <= slope <= 0.85
 
     def test_tol_guard(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(QuadrangleError, match="tol must be finite and at least 1e-14"):
             solve_trapezoid_fixed_point(tol=1e-16)
 
 
@@ -115,6 +114,19 @@ class TestCycleSystem:
             e = balanced_edges(can)
             r = cycle_system_rhs(ChartPoint.from_angles(can))
             assert (r.alpha, r.gamma, r.delta) == (e.x1, e.x3, e.x2)
+
+    def test_provenance_counts_the_map_steps_taken(self):
+        # the default start is the orbit element the provenance names:
+        # starting there explicitly must reproduce the default solve
+        r = solve_cycle_system(tol=1e-12)
+        n = int(re.fullmatch(r"initial guess from (\d+) map iterations of a generic seed",
+                             r.provenance).group(1))
+        q = AngleTuple(1.2, 2.1, 1.5, TWO_PI - 4.8)
+        for _ in range(n):
+            q = step(q)
+        start = ChartPoint.from_angles(canonicalize(q).rotated)
+        explicit = solve_cycle_system(initial=start, tol=1e-12)
+        assert (explicit.solution, explicit.iterations) == (r.solution, r.iterations)
 
     def test_explicit_initial(self):
         r = solve_cycle_system(initial=ChartPoint(1.5, 1.4, 1.5), tol=1e-12)
@@ -162,12 +174,12 @@ class TestFdJacobian:
 
     def test_boundary_guard(self):
         p = ChartPoint(1e-7, 2.0, 2.0)
-        with pytest.raises(BoundaryTooCloseError):
+        with pytest.raises(SolverError, match="within h of the domain boundary"):
             fd_jacobian(lambda x: x, p, h=1e-6)
 
     def test_h_guard(self):
         p = ChartPoint.from_angles(GENERAL_CYCLE_ANGLES)
-        with pytest.raises(DomainError):
+        with pytest.raises(QuadrangleError, match=r"fd step h must lie in \[1e-8, 1e-4\]"):
             fd_jacobian(lambda x: x, p, h=1e-3)
 
 
@@ -235,7 +247,7 @@ class TestStabilityReport:
         assert r6 == stability_report(GENERAL_CYCLE_ANGLES, 2).spectral_radius
 
     def test_map_order_guard(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(QuadrangleError, match="map_order must be 1 or 2"):
             stability_report(SQUARE, map_order=3)
 
     def test_trapezoid_cycle_spectrum(self):
