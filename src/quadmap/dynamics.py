@@ -176,27 +176,41 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
     double step returns to a cyclic relabeling of the start, not to the
     same labeled tuple.  Non-convergence is reported via the
     classification, not an error.
+
+    The largest angle is unchanged by relabeling and 1-Lipschitz in the
+    sup norm, so |max p - max q| <= rotation_distance(p, q), in floats too
+    (rounded subtraction is monotone); a pair whose peaks differ by tol or
+    more is rejected without the rotation scan.  Each state is validated
+    once, by the kernel's range and sum checks, which are those of
+    AngleTuple.
     """
     if max_iter < 1:
         raise QuadrangleError("max_iter must be >= 1")
     if not 0.0 < tol < math.inf:   # a NaN tol fails here too
         raise QuadrangleError("tol must be positive and finite")
     states = [q0.as_tuple()]
+    peaks = [max(states[0])]
     streak = [0] * (P_MAX + 1)
     for n in range(1, max_iter + 1):
         q = _balanced_edge_floats(states[-1])
+        peak = max(q)
         states.append(q)
+        peaks.append(peak)
         for p in range(1, min(P_MAX, n) + 1):
-            streak[p] = streak[p] + 1 if _rotation_within(q, states[n - p], tol) else 0
-            if streak[p] >= CONFIRMATIONS:
-                return _trajectory(q0, states, p)
+            if abs(peak - peaks[n - p]) < tol and _rotation_within(q, states[n - p], tol):
+                streak[p] += 1
+                if streak[p] >= CONFIRMATIONS:
+                    return _trajectory(q0, states, p)
+            else:
+                streak[p] = 0
     return _trajectory(q0, states, None)
 
 
 def _trajectory(q0, states, period):
-    # iterate's API boundary: float states become AngleTuples, and cycle
-    # representatives are images under the public step, checking the kernel
-    states = (q0,) + tuple(AngleTuple(*s) for s in states[1:])
+    # iterate's API boundary: the kernel already checked each float state,
+    # so they become AngleTuples unvalidated; cycle representatives are
+    # images under the public step, checking the float kernel against it
+    states = (q0,) + tuple(map(AngleTuple._from_checked, states[1:]))
     if period is None:
         return Trajectory(states, None)
     reps = tuple(step(s) for s in states[-period - 1:-1])

@@ -29,7 +29,7 @@ def sample_angle_tuple(rng: np.random.Generator,
         raw = rng.uniform(lo, hi, 4)
         scaled = raw * (TWO_PI / raw.sum())
         if np.all((scaled > lo) & (scaled < hi)):
-            return AngleTuple(*scaled)
+            return AngleTuple(*scaled.tolist())
 
 
 def substream(seed: int, sample_id: int) -> np.random.Generator:

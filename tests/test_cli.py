@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -173,6 +174,27 @@ class TestCurve:
         for line in out.strip().splitlines()[1:]:
             for tok in line.split(","):
                 assert fmt(float(tok)) == tok
+
+
+# sha256 of output bytes that users diff against: the basin experiment's
+# stdout and the CSV of the README's iterate example.  A kernel or detector
+# change must leave both byte-identical; a deliberate change updates them.
+BASIN_20_SEED_42_SHA256 = "d1c8b775ccaece577c9960d5899f0b21f25710fe69c92e84c960e4f13e34fde9"
+README_ITERATE_CSV_SHA256 = "61e77b0e6c5618c42e46bcd65d06b6b10418db993498ed44db9e96a766796f1e"
+
+
+def test_basin_stdout_bytes_are_pinned(capsys):
+    code, out = run(capsys, "basin", "--samples", "20", "--seed", "42")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BASIN_20_SEED_42_SHA256
+
+
+def test_readme_iterate_csv_bytes_are_pinned(capsys, tmp_path):
+    path = tmp_path / "traj.csv"
+    code, out = run(capsys, "iterate", "--angles", "1.2,2.1,1.5,1.4831853071795865",
+                    "--out", str(path))
+    assert (code, out) == (0, "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == README_ITERATE_CSV_SHA256
 
 
 class TestBasin:

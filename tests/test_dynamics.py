@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import quadmap.core as core
 from quadmap.core import (
     IDENTITY,
+    TWO_PI,
     AngleTuple,
     EdgeTuple,
     QuadrangleError,
@@ -23,6 +25,7 @@ from quadmap.dynamics import (
     CycleInfo,
     Trajectory,
     _classify,
+    _rotation_within,
     c_map,
     dihedral_distance,
     general_cycle_pair,
@@ -240,7 +243,20 @@ def _reference_cases():
     cases += [pytest.param(SQUARE, {}, id="square"),
               pytest.param(validate_angles(1.2, 2.1, 1.5, 2 * PI - 4.8),
                            {"max_iter": 50}, id="generic-cut50")]
-    return cases
+    return cases + _coarse_cases()
+
+
+COARSE_TOLS = (1e-6, 1e-3, 0.1)
+
+
+def _coarse_cases():
+    # tolerances at which peak differences of order tol occur, so the peak
+    # prefilter both rejects pairs and passes pairs that the rotation scan
+    # then rejects
+    starts = [(f"sample{i}", sample_angle_tuple(substream(2024, i))) for i in range(3)]
+    starts += [(f"trapezoid{a:.3f}", trapezoid_angles(a)) for a in (0.3, 1.2)]
+    return [pytest.param(q0, {"tol": tol}, id=f"{name}-tol{tol:g}")
+            for name, q0 in starts for tol in COARSE_TOLS]
 
 
 @pytest.mark.parametrize("q0, kwargs", _reference_cases())
@@ -248,6 +264,75 @@ def test_iterate_equals_reference_loop(q0, kwargs):
     # dataclass equality compares the floats exactly: states,
     # period, representatives, classification, residual and match distance
     assert iterate(q0, **kwargs) == reference_iterate(q0, **kwargs)
+
+
+def test_coarse_cases_reach_both_sides_of_the_prefilter(monkeypatch):
+    # the rotation scan only sees pairs whose peaks differ by less than tol;
+    # the coarse cases must include scans that fail, and peak differences
+    # above tol/2, or the bitwise comparison would not test the prefilter
+    seen = []
+
+    def recording(p, q, tol):
+        hit = _rotation_within(p, q, tol)
+        seen.append((abs(max(p) - max(q)) / tol, hit))
+        return hit
+
+    monkeypatch.setattr("quadmap.dynamics._rotation_within", recording)
+    for case in _coarse_cases():
+        q0, kwargs = case.values
+        iterate(q0, **kwargs)
+    assert all(ratio < 1.0 for ratio, _ in seen)
+    assert any(not hit for _, hit in seen)
+    assert any(ratio > 0.5 and not hit for ratio, hit in seen)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-3, 0.1])
+def test_peak_difference_bounds_rotation_distance(rng, tol):
+    # max is relabeling-invariant and 1-Lipschitz in the sup norm, and
+    # rounded subtraction is monotone, so the bound holds in floats; iterate
+    # skips the rotation scan on it
+    pairs = [(sample_angle_tuple(rng), sample_angle_tuple(rng)) for _ in range(300)]
+    for _ in range(300):
+        p = sample_angle_tuple(rng, margin=0.2)
+        u = rng.uniform(-tol, tol, 4)
+        shifted = [v + d for v, d in zip(rotate_labels(p, int(rng.integers(4))), u - u.mean())]
+        pairs.append((p, AngleTuple(*shifted)))
+    for p, q in pairs:
+        gap = abs(max(p.as_tuple()) - max(q.as_tuple()))
+        d = rotation_distance(p, q)
+        assert gap <= d
+        assert _rotation_within(p.as_tuple(), q.as_tuple(), tol) == (d < tol)
+        if gap >= tol:
+            assert not _rotation_within(p.as_tuple(), q.as_tuple(), tol)
+
+
+def test_trajectory_states_are_frozen_angle_tuples():
+    q0 = sample_angle_tuple(substream(2024, 0))
+    traj = iterate(q0)
+    for s in traj.states:
+        assert type(s) is AngleTuple
+        assert s == AngleTuple(*s.as_tuple())
+        assert hash(s) == hash(AngleTuple(*s.as_tuple()))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.alpha = 1.0
+
+
+@pytest.mark.parametrize("edges, message", [
+    ((4.0, 1.0, TWO_PI - 5.0), "outside edge range"),
+    ((1.0, 1.0, 1.0), "does not sum to 2"),
+], ids=["range", "sum"])
+def test_iterate_still_checks_every_kernel_state(monkeypatch, edges, message):
+    # iterate's states skip AngleTuple's checks because the float kernel
+    # applies them; a kernel producing a bad edge must still raise
+    monkeypatch.setattr(core, "_triangle_edges", lambda phi, psi: edges)
+    with pytest.raises(QuadrangleError, match=message):
+        iterate(SQUARE, max_iter=5)
+
+
+def test_sampled_components_are_plain_floats(rng):
+    for margin in (0.05, 1e-3, 0.0):
+        q = sample_angle_tuple(rng, margin=margin)
+        assert all(type(v) is float for v in q.as_tuple())
 
 
 def test_representatives_show_a_corrupted_public_kernel(monkeypatch):
