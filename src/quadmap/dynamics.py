@@ -207,9 +207,10 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
 
 
 def _trajectory(q0, states, period):
-    # iterate's API boundary: the kernel already checked each float state,
-    # so they become AngleTuples unvalidated; cycle representatives are
-    # images under the public step, checking the float kernel against it
+    # iterate's API boundary: the kernel has range- and sum-checked every
+    # float state, so each becomes an AngleTuple without a second check;
+    # cycle representatives are images under the public step, checking the
+    # float kernel against it
     states = (q0,) + tuple(map(AngleTuple._from_checked, states[1:]))
     if period is None:
         return Trajectory(states, None)

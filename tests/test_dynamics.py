@@ -268,7 +268,7 @@ def test_iterate_equals_reference_loop(q0, kwargs):
 
 def test_coarse_cases_reach_both_sides_of_the_prefilter(monkeypatch):
     # the rotation scan only sees pairs whose peaks differ by less than tol;
-    # the coarse cases must include scans that fail, and peak differences
+    # the coarse cases must include scans that fail at a peak difference
     # above tol/2, or the bitwise comparison would not test the prefilter
     seen = []
 
@@ -282,7 +282,6 @@ def test_coarse_cases_reach_both_sides_of_the_prefilter(monkeypatch):
         q0, kwargs = case.values
         iterate(q0, **kwargs)
     assert all(ratio < 1.0 for ratio, _ in seen)
-    assert any(not hit for _, hit in seen)
     assert any(ratio > 0.5 and not hit for ratio, hit in seen)
 
 
@@ -302,8 +301,6 @@ def test_peak_difference_bounds_rotation_distance(rng, tol):
         d = rotation_distance(p, q)
         assert gap <= d
         assert _rotation_within(p.as_tuple(), q.as_tuple(), tol) == (d < tol)
-        if gap >= tol:
-            assert not _rotation_within(p.as_tuple(), q.as_tuple(), tol)
 
 
 def test_trajectory_states_are_frozen_angle_tuples():
