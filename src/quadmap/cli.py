@@ -8,6 +8,7 @@ digits, which round-trip doubles exactly; JSON carries them as strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -211,7 +212,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The quadmap argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="quadmap",
         description="Balanced-quadrangle dynamics: iteration, solvers, verification.",

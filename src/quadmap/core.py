@@ -164,11 +164,20 @@ def reflect_labels_edges(e: EdgeTuple) -> EdgeTuple:
 
 
 def _canonical_shift(t):
-    """The shift canonicalize picks for the float 4-tuple t."""
-    for r in range(4):
-        a, _, g, d = t[r:] + t[:r]
-        if d + a <= math.pi + _EDGE_SLACK and g + d <= math.pi + _EDGE_SLACK:
-            return r
+    """First r in 0..3 whose shift (t[r], t[r+1], t[r+2], t[r+3]) of the float
+    4-tuple t has delta + alpha and gamma + delta, tested in this order, at
+    most pi + _EDGE_SLACK.  The rule's one definition; canonicalize uses it.
+    """
+    q0, q1, q2, q3 = t
+    hi = math.pi + _EDGE_SLACK
+    if q3 + q0 <= hi and q2 + q3 <= hi:
+        return 0  # no rotation: (q0, q1, q2, q3)
+    if q0 + q1 <= hi and q3 + q0 <= hi:
+        return 1  # (q1, q2, q3, q0)
+    if q1 + q2 <= hi and q0 + q1 <= hi:
+        return 2  # (q2, q3, q0, q1)
+    if q2 + q3 <= hi and q1 + q2 <= hi:
+        return 3  # (q3, q0, q1, q2)
     raise QuadrangleError("no canonical labeling found; input angles inconsistent")
 
 
@@ -254,20 +263,23 @@ def _balanced_edge_floats(q):
 
     Same operations in the same order as balanced_edges, so bitwise equal;
     endpoint and image checks raise QuadrangleError, as the validated types do.
+    Straight-line code, but _triangle_edges still builds both endpoints.
     """
     r = _canonical_shift(q)
-    a, _, g, d = q[r:] + q[:r]
+    a, g, d = q[r], q[r - 2], q[r - 1]
     x4f, x2f, x1f = _triangle_edges(a, d)
     x1s, x3s, x4s = _triangle_edges(g, d)
     hi = math.pi + _EDGE_SLACK
-    for e1, e2, e3 in ((x1f, x2f, x4f), (x1s, x3s, x4s)):
-        if not (0.0 <= e1 < hi and 0.0 <= e2 < hi and 0.0 <= e3 < hi):
-            raise QuadrangleError(f"degenerate endpoint {(e1, e2, e3)} outside edge range")
-        if abs(e1 + e2 + e3 - TWO_PI) > SUM_TOL:
-            raise QuadrangleError(f"degenerate endpoint {(e1, e2, e3)} does not sum to 2*pi")
+    if not (0.0 <= x1f < hi and 0.0 <= x2f < hi and 0.0 <= x4f < hi):
+        raise QuadrangleError(f"degenerate endpoint {(x1f, x2f, x4f)} outside edge range")
+    if abs(x1f + x2f + x4f - TWO_PI) > SUM_TOL:
+        raise QuadrangleError(f"degenerate endpoint {(x1f, x2f, x4f)} does not sum to 2*pi")
+    if not (0.0 <= x1s < hi and 0.0 <= x3s < hi and 0.0 <= x4s < hi):
+        raise QuadrangleError(f"degenerate endpoint {(x1s, x3s, x4s)} outside edge range")
+    if abs(x1s + x3s + x4s - TWO_PI) > SUM_TOL:
+        raise QuadrangleError(f"degenerate endpoint {(x1s, x3s, x4s)} does not sum to 2*pi")
     mid = ((x1f + x1s) / 2.0, (x2f + 0.0) / 2.0, (0.0 + x3s) / 2.0, (x4f + x4s) / 2.0)
-    k = -r % 4
-    o1, o2, o3, o4 = out = mid[k:] + mid[:k]
+    o1, o2, o3, o4 = out = mid[-r:] + mid[:-r]
     if not (0.0 < o1 < math.pi and 0.0 < o2 < math.pi
             and 0.0 < o3 < math.pi and 0.0 < o4 < math.pi):
         raise QuadrangleError(f"image {out} must lie strictly inside (0, pi)")

@@ -370,6 +370,36 @@ def test_fmt_round_trips(rng):
         assert float(fmt(x)) == x
 
 
+def test_cached_parser_answers_as_a_fresh_one(monkeypatch, capsys, tmp_path):
+    # main reuses one parser per process; a run of calls through it, a usage
+    # error among them, must print and exit as with a parser built per call
+    assert quadmap.cli.build_parser() is quadmap.cli.build_parser()
+    start = "1.2,2.1,1.5,1.4831853071795865"
+    traj = tmp_path / "traj.csv"
+    argvs = [
+        ["step", "--angles", start, "--json"],
+        ["iterate", "--angles", start, "--out", str(traj)],
+        ["cycle", "--angles", start],
+        ["curve", "--samples", "5"],
+        ["solve", "trapezoid"],
+        ["basin", "--samples", "0"],
+        ["basin", "--samples", "3"],
+    ]
+
+    def calls():
+        seen = []
+        for argv in argvs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen, traj.read_bytes()
+
+    cached = calls()
+    monkeypatch.setattr(quadmap.cli, "build_parser", quadmap.cli.build_parser.__wrapped__)
+    assert calls() == cached
+    assert [code for code, _, _ in cached[0]] == [0, 0, 0, 0, 0, 2, 0]
+
+
 def test_one_exception_class_per_error_exit_code(monkeypatch, capsys):
     # a caller meets two kinds of failure, bad input (exit 2) and a failed
     # solve (exit 3); each has exactly one class, and main maps each raise

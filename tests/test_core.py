@@ -195,6 +195,38 @@ class TestBalancedEdges:
             assert relabel_distance(lhs, rhs, IDENTITY) <= 1e-10
 
 
+def _reference_shift(t):
+    # the canonical-shift rule as a loop over rotated copies: the first r
+    # whose rotated d + a and g + d are both at most pi + _EDGE_SLACK
+    for r in range(4):
+        a, _, g, d = t[r:] + t[:r]
+        if d + a <= PI + core._EDGE_SLACK and g + d <= PI + core._EDGE_SLACK:
+            return r
+    raise QuadrangleError("no canonical labeling found; input angles inconsistent")
+
+
+def _outcome(fn, t):
+    """fn(t), or the message of the QuadrangleError it raises."""
+    try:
+        return fn(t)
+    except QuadrangleError as exc:
+        return f"error: {exc}"
+
+
+def _partner(x, target):
+    """The double y next to target - x with x + y == target in floats.
+
+    Reachable when y lies in a finer binade than x, as for x in [2, 4), y < 2.
+    """
+    y = target - x
+    while x + y < target:
+        y = math.nextafter(y, math.inf)
+    while x + y > target:
+        y = math.nextafter(y, -math.inf)
+    assert x + y == target
+    return y
+
+
 class TestBalancedEdgeFloats:
     """The float kernel behind iterate against the validated public step."""
 
@@ -220,6 +252,49 @@ class TestBalancedEdgeFloats:
             a, b, g = (float(PI / 2 + s * u) for u in rng.uniform(-1.0, 1.0, 3))
             q = AngleTuple(a, b, g, TWO_PI - (a + b + g))
             assert core._balanced_edge_floats(q.as_tuple()) == step(q).as_tuple()
+
+    @staticmethod
+    def _shift_states(rng):
+        states = []
+        for margin in (0.05, 1e-3, 0.0):
+            for _ in range(1000):
+                t = sample_angle_tuple(rng, margin=margin).as_tuple()
+                states += [rotate_labels(t, k) for k in range(4)]
+        # q0 + q1 at pi + _EDGE_SLACK exactly, or one double above; an angle
+        # sum off 2*pi by 5e-10, inside SUM_TOL, puts q2 + q3 on either side
+        # of that bound too, so in some rotation every branch is decided by
+        # a pair sum at its bound
+        hi = PI + core._EDGE_SLACK
+        for target in (hi, math.nextafter(hi, math.inf)):
+            for q0 in (2.0, 2.2, 2.4, 2.7):
+                q1 = _partner(q0, target)
+                for q2 in (0.6, 1.3, 2.0):
+                    for excess in (-5e-10, 0.0, 5e-10):
+                        q3 = TWO_PI + excess - target - q2
+                        if 0.0 < q3 < PI:
+                            t = (q0, q1, q2, q3)
+                            states += [rotate_labels(u, k) for u in (t, t[::-1]) for k in range(4)]
+        return states
+
+    def test_unrolled_shift_matches_the_loop(self, rng):
+        states = self._shift_states(rng)
+        # tuples that are no angle states reach the error in both
+        bad = [(3.0, 3.0, 3.0, 3.0), (math.nan,) * 4]
+        shifts = [_outcome(core._canonical_shift, t) for t in states + bad]
+        assert shifts == [_outcome(_reference_shift, t) for t in states + bad]
+        assert set(range(4)) < set(shifts)
+        assert shifts[-1] == shifts[-2] == "error: no canonical labeling found; " \
+            "input angles inconsistent"
+        for t in states:
+            try:
+                image = step(AngleTuple(*t)).as_tuple()
+            except QuadrangleError:
+                # some boundary states fail an endpoint check; the kernel
+                # must reject them too, in its own wording
+                with pytest.raises(QuadrangleError):
+                    core._balanced_edge_floats(t)
+            else:
+                assert core._balanced_edge_floats(t) == image
 
     def test_no_canonical_shift_is_domain_error(self):
         with pytest.raises(QuadrangleError, match="no canonical labeling"):

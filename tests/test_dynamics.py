@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import pytest
 
@@ -324,6 +325,35 @@ def test_iterate_still_checks_every_kernel_state(monkeypatch, edges, message):
     monkeypatch.setattr(core, "_triangle_edges", lambda phi, psi: edges)
     with pytest.raises(QuadrangleError, match=message):
         iterate(SQUARE, max_iter=5)
+
+
+def test_loop_builds_two_triangles_and_validates_nothing(monkeypatch):
+    # a structure guard for iterate's hot path: each iteration calls the
+    # triangle formula twice and constructs no validated type; only the
+    # re-step of the cycle representatives, a fixed cost, validates
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    q0 = validate_angles(1.2, 2.1, 1.5, 1.4831853071795865)
+    monkeypatch.setattr(core, "_triangle_edges", counting("triangle", core._triangle_edges))
+    monkeypatch.setattr(AngleTuple, "__post_init__", counting("angles", AngleTuple.__post_init__))
+    monkeypatch.setattr(EdgeTuple, "__post_init__", counting("edges", EdgeTuple.__post_init__))
+    step(q0)   # one public step: two triangles, two angle and three edge tuples
+    assert counts == {"triangle": 2, "angles": 2, "edges": 3}
+    counts.clear()
+    assert iterate(q0, max_iter=40).cycle is None   # no cycle, no re-step
+    assert counts == {"triangle": 2 * 40}
+    counts.clear()
+    traj = iterate(q0)
+    n, p = len(traj.states) - 1, traj.cycle.period
+    assert n > 100 and p == 2
+    # two triangles per iteration, and p re-steps of the representatives
+    assert counts == {"triangle": 2 * n + 2 * p, "angles": 2 * p, "edges": 3 * p}
 
 
 def test_sampled_components_are_plain_floats(rng):
