@@ -14,7 +14,7 @@ import math
 import sys
 from collections import Counter
 
-from .core import QuadrangleError, validate_angles
+from .core import AngleTuple, QuadrangleError, validate_angles
 from .dynamics import P_MAX, c_map, iterate, rotation_distance, step
 from .sampling import DEFAULT_MARGIN, sample_angle_tuple, substream
 from .solvers import (
@@ -83,8 +83,8 @@ def cmd_iterate(args) -> int:
     q = _parse_angles(args.angles)
     traj = iterate(q, max_iter=args.max_iter, tol=args.tol)
     lines = ["iter,alpha,beta,gamma,delta"]
-    for i, state in enumerate(traj.states):
-        lines.append(f"{i}," + ",".join(fmt(v) for v in state.as_tuple()))
+    for i, state in enumerate(traj.path):
+        lines.append(f"{i}," + ",".join(fmt(v) for v in state))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -94,7 +94,7 @@ def cmd_cycle(args) -> int:
     traj = iterate(q, max_iter=args.max_iter, tol=args.tol)
     payload = {
         "classification": traj.classification,
-        "iterations": len(traj.states) - 1,
+        "iterations": len(traj.path) - 1,
     }
     if traj.cycle:
         payload.update(
@@ -130,15 +130,17 @@ def cmd_basin(args) -> int:
         traj = iterate(q0, max_iter=args.max_iter, tol=args.tol)
         cls = traj.classification
         counts[cls] += 1
-        # unconverged: the detector's distance, minimised over periods 1..P_MAX
-        residual = traj.cycle.residual if traj.cycle else min(
-            rotation_distance(traj.states[-1], s) for s in traj.states[-1 - P_MAX:-1])
+        if traj.cycle:
+            residual = traj.cycle.residual
+        else:   # the detector's distance, minimised over periods 1..P_MAX
+            *prior, last = map(AngleTuple._from_checked, traj.path[-1 - P_MAX:])
+            residual = min(rotation_distance(last, s) for s in prior)
         match = traj.cycle.match_distance if traj.cycle else math.inf
         lines.append(",".join([
             str(i),
             *(fmt(v) for v in q0.as_tuple()),
             cls,
-            str(len(traj.states) - 1),
+            str(len(traj.path) - 1),
             fmt(residual),
             fmt(match),
         ]))

@@ -10,7 +10,9 @@ attracting 2-cycle.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .core import (
@@ -62,8 +64,20 @@ class CycleInfo:
 
 @dataclass(frozen=True)
 class Trajectory:
-    states: tuple
+    """An orbit of the map and the cycle it settled on, if any.
+
+    path holds the orbit as float 4-tuples, start first; the float kernel
+    has range- and sum-checked each of them.  states holds the same orbit
+    as frozen AngleTuples, built on first access and then kept; iterate
+    itself builds none of them beyond what its cycle report needs.
+    """
+
+    path: tuple
     cycle: Optional[CycleInfo]
+
+    @cached_property
+    def states(self) -> tuple:
+        return tuple(map(AngleTuple._from_checked, self.path))
 
     @property
     def classification(self) -> str:
@@ -180,42 +194,65 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
     The largest angle is unchanged by relabeling and 1-Lipschitz in the
     sup norm, so |max p - max q| <= rotation_distance(p, q), in floats too
     (rounded subtraction is monotone); a pair whose peaks differ by tol or
-    more is rejected without the rotation scan.  Each state is validated
-    once, by the kernel's range and sum checks, which are those of
-    AngleTuple.
+    more is rejected without the rotation scan.  A sorted window of the
+    last P_MAX peaks decides first whether any period can pass that test:
+    if no window entry lies in [peak - 2*tol, peak + 2*tol], every streak
+    is reset and the per-period loop is skipped.  This hides no pair:
+    doubling tol is exact unless it overflows, and rounding is monotone,
+    so abs(peak - w) < tol in floats implies |peak - w| < tol exactly,
+    hence peak - 2*tol < w < peak + 2*tol exactly, and w lies between the
+    two rounded bounds.  The factor 2 adds a margin of tol on top of that
+    argument.  The edge cases stay conservative: for a subnormal tol both
+    bounds round to peak (peaks are at least pi/2), and a pair passes only
+    with equal peaks, which the window finds; above about 9e307, 2*tol overflows to inf and the
+    window always reports a hit.
+
+    Each state is validated once, by the kernel's range and sum checks,
+    which are those of AngleTuple.  The orbit is returned as float tuples
+    (Trajectory.path); its AngleTuples are built when states is first read.
     """
     if max_iter < 1:
         raise QuadrangleError("max_iter must be >= 1")
     if not 0.0 < tol < math.inf:   # a NaN tol fails here too
         raise QuadrangleError("tol must be positive and finite")
-    states = [q0.as_tuple()]
-    peaks = [max(states[0])]
+    path = [q0.as_tuple()]
+    peaks = [max(path[0])]
+    window = peaks[:]   # the last P_MAX peaks, sorted
+    gap = 2.0 * tol
     streak = [0] * (P_MAX + 1)
     for n in range(1, max_iter + 1):
-        q = _balanced_edge_floats(states[-1])
+        q = _balanced_edge_floats(path[-1])
         peak = max(q)
-        states.append(q)
+        path.append(q)
         peaks.append(peak)
-        for p in range(1, min(P_MAX, n) + 1):
-            if abs(peak - peaks[n - p]) < tol and _rotation_within(q, states[n - p], tol):
-                streak[p] += 1
-                if streak[p] >= CONFIRMATIONS:
-                    return _trajectory(q0, states, p)
-            else:
-                streak[p] = 0
-    return _trajectory(q0, states, None)
+        i = bisect_left(window, peak - gap)
+        if i == len(window) or window[i] > peak + gap:
+            streak = [0] * (P_MAX + 1)
+        else:
+            for p in range(1, min(P_MAX, n) + 1):
+                if abs(peak - peaks[n - p]) < tol and _rotation_within(q, path[n - p], tol):
+                    streak[p] += 1
+                    if streak[p] >= CONFIRMATIONS:
+                        return _trajectory(path, p)
+                else:
+                    streak[p] = 0
+        insort(window, peak)
+        if n >= P_MAX:
+            window.remove(peaks[n - P_MAX])
+    return _trajectory(path, None)
 
 
-def _trajectory(q0, states, period):
+def _trajectory(path, period):
     # iterate's API boundary: the kernel has range- and sum-checked every
-    # float state, so each becomes an AngleTuple without a second check;
+    # float state, so the few AngleTuples built here skip a second check;
     # cycle representatives are images under the public step, checking the
     # float kernel against it
-    states = (q0,) + tuple(map(AngleTuple._from_checked, states[1:]))
+    path = tuple(path)
     if period is None:
-        return Trajectory(states, None)
-    reps = tuple(step(s) for s in states[-period - 1:-1])
+        return Trajectory(path, None)
+    last = tuple(map(AngleTuple._from_checked, path[-period - 1:]))
+    reps = tuple(step(s) for s in last[:-1])
     classification, match = _classify(reps)
-    residual = rotation_distance(states[-1], states[-1 - period])
+    residual = rotation_distance(last[-1], last[0])
     cycle = CycleInfo(period, reps, classification, residual, match)
-    return Trajectory(states, cycle)
+    return Trajectory(path, cycle)

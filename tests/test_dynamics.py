@@ -227,8 +227,8 @@ def reference_iterate(q0, max_iter=10000, tol=1e-12):
                 reps = tuple(states[-p:])
                 classification, match = _classify(reps)
                 cycle = CycleInfo(p, reps, classification, last_d[p], match)
-                return Trajectory(tuple(states), cycle)
-    return Trajectory(tuple(states), None)
+                return Trajectory(tuple(s.as_tuple() for s in states), cycle)
+    return Trajectory(tuple(s.as_tuple() for s in states), None)
 
 
 def _reference_cases():
@@ -244,10 +244,21 @@ def _reference_cases():
     cases += [pytest.param(SQUARE, {}, id="square"),
               pytest.param(validate_angles(1.2, 2.1, 1.5, 2 * PI - 4.8),
                            {"max_iter": 50}, id="generic-cut50")]
-    return cases + _coarse_cases()
+    return cases + _coarse_cases() + _extreme_cases()
 
 
 COARSE_TOLS = (1e-6, 1e-3, 0.1)
+# a subnormal tol, at which peak +- 2*tol rounds to peak; a tiny normal
+# one; and one at which 2*tol overflows to inf
+EXTREME_TOLS = (5e-324, 1e-300, 1e308)
+
+
+def _extreme_cases():
+    # the tolerances at the edges of the peak window's rounding argument
+    starts = [("sample0", sample_angle_tuple(substream(2024, 0))),
+              ("trapezoid0.300", trapezoid_angles(0.3))]
+    return [pytest.param(q0, {"tol": tol}, id=f"{name}-tol{tol:g}")
+            for name, q0 in starts for tol in EXTREME_TOLS]
 
 
 def _coarse_cases():
@@ -302,6 +313,54 @@ def test_peak_difference_bounds_rotation_distance(rng, tol):
         d = rotation_distance(p, q)
         assert gap <= d
         assert _rotation_within(p.as_tuple(), q.as_tuple(), tol) == (d < tol)
+
+
+@pytest.mark.parametrize("q0, kwargs", _reference_cases())
+def test_peak_window_hides_no_pair(monkeypatch, q0, kwargs):
+    # every pair whose peaks differ by less than tol reaches the rotation
+    # scan, in loop order, up to the accepting one: the sorted peak window
+    # only skips iterations at which no period could pass the peak test
+    scanned = []
+
+    def recording(p, q, tol):
+        scanned.append((p, q))
+        return _rotation_within(p, q, tol)
+
+    monkeypatch.setattr("quadmap.dynamics._rotation_within", recording)
+    traj = iterate(q0, **kwargs)
+    tol = kwargs.get("tol", 1e-12)
+    path, last = traj.path, len(traj.path) - 1
+    peaks = [max(q) for q in path]
+    expected = [(path[n], path[n - p])
+                for n in range(1, last + 1) for p in range(1, min(P_MAX, n) + 1)
+                if abs(peaks[n] - peaks[n - p]) < tol
+                and not (traj.cycle and n == last and p > traj.cycle.period)]
+    assert scanned == expected
+
+
+def test_states_are_built_on_first_access(monkeypatch):
+    built = Counter()
+    original = AngleTuple._from_checked.__func__
+
+    def counting(cls, t):
+        built["states"] += 1
+        return original(cls, t)
+
+    monkeypatch.setattr(AngleTuple, "_from_checked", classmethod(counting))
+    q0 = sample_angle_tuple(substream(2024, 1))
+    traj = iterate(q0)
+    n, p = len(traj.path) - 1, traj.cycle.period
+    assert n > 100 and p == 2
+    # the residual's two states and the representatives' p predecessors
+    assert built["states"] <= 2 * p + 2
+    built.clear()
+    states = traj.states
+    assert built["states"] == n + 1
+    assert traj.states is states
+    assert states == tuple(AngleTuple(*t) for t in traj.path)
+    assert states[0] == q0
+    again = iterate(q0)
+    assert again == traj and hash(again) == hash(traj)
 
 
 def test_trajectory_states_are_frozen_angle_tuples():
