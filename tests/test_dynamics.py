@@ -351,7 +351,7 @@ def test_states_are_built_on_first_access(monkeypatch):
     traj = iterate(q0)
     n, p = len(traj.path) - 1, traj.cycle.period
     assert n > 100 and p == 2
-    # the residual's two states and the representatives' p predecessors
+    # only the p states re-stepped into representatives and the residual's two
     assert built["states"] <= 2 * p + 2
     built.clear()
     states = traj.states
