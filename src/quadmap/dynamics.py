@@ -196,16 +196,11 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
     (rounded subtraction is monotone); a pair whose peaks differ by tol or
     more is rejected without the rotation scan.  A sorted window of the
     last P_MAX peaks decides first whether any period can pass that test:
-    if no window entry lies in [peak - 2*tol, peak + 2*tol], every streak
-    is reset and the per-period loop is skipped.  This hides no pair:
-    doubling tol is exact unless it overflows, and rounding is monotone,
-    so abs(peak - w) < tol in floats implies |peak - w| < tol exactly,
-    hence peak - 2*tol < w < peak + 2*tol exactly, and w lies between the
-    two rounded bounds.  The factor 2 adds a margin of tol on top of that
-    argument.  The edge cases stay conservative: for a subnormal tol both
-    bounds round to peak (peaks are at least pi/2), and a pair passes only
-    with equal peaks, which the window finds; above about 9e307, 2*tol overflows to inf and the
-    window always reports a hit.
+    if no window entry lies in [peak - tol, peak + tol], rounded, every
+    streak is reset and the per-period loop is skipped.  This hides no
+    pair: rounding is monotone, so abs(peak - w) < tol in floats implies
+    peak - tol < w < peak + tol exactly, and the float w then lies between
+    the two rounded bounds.
 
     Each state is validated once, by the kernel's range and sum checks,
     which are those of AngleTuple.  The orbit is returned as float tuples
@@ -218,15 +213,14 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
     path = [q0.as_tuple()]
     peaks = [max(path[0])]
     window = peaks[:]   # the last P_MAX peaks, sorted
-    gap = 2.0 * tol
     streak = [0] * (P_MAX + 1)
     for n in range(1, max_iter + 1):
         q = _balanced_edge_floats(path[-1])
         peak = max(q)
         path.append(q)
         peaks.append(peak)
-        i = bisect_left(window, peak - gap)
-        if i == len(window) or window[i] > peak + gap:
+        i = bisect_left(window, peak - tol)
+        if i == len(window) or window[i] > peak + tol:
             streak = [0] * (P_MAX + 1)
         else:
             for p in range(1, min(P_MAX, n) + 1):

@@ -178,8 +178,9 @@ class TestCurve:
 
 # sha256 of output bytes that users diff against: the basin experiment's
 # stdout and the CSV of the README's iterate example.  A kernel or detector
-# change must leave both byte-identical; a deliberate change updates them.
+# change must leave them byte-identical; a deliberate change updates them.
 BASIN_20_SEED_42_SHA256 = "d1c8b775ccaece577c9960d5899f0b21f25710fe69c92e84c960e4f13e34fde9"
+BASIN_1000_SEED_42_SHA256 = "32f88f2652513cd703fe2f1222f16f82cc38c042b821b26aab77f72537cfe0a0"
 README_ITERATE_CSV_SHA256 = "61e77b0e6c5618c42e46bcd65d06b6b10418db993498ed44db9e96a766796f1e"
 
 
@@ -187,6 +188,14 @@ def test_basin_stdout_bytes_are_pinned(capsys):
     code, out = run(capsys, "basin", "--samples", "20", "--seed", "42")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BASIN_20_SEED_42_SHA256
+
+
+def test_larger_basin_stdout_bytes_are_pinned(capsys):
+    # the 20-sample basin meets few detector paths; this run meets far more
+    # and still takes about a second
+    code, out = run(capsys, "basin", "--samples", "1000", "--seed", "42")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BASIN_1000_SEED_42_SHA256
 
 
 def test_readme_iterate_csv_bytes_are_pinned(capsys, tmp_path):

@@ -248,8 +248,8 @@ def _reference_cases():
 
 
 COARSE_TOLS = (1e-6, 1e-3, 0.1)
-# a subnormal tol, at which peak +- 2*tol rounds to peak; a tiny normal
-# one; and one at which 2*tol overflows to inf
+# a subnormal and a tiny normal tol, at which peak +- tol rounds to peak,
+# and one at which the window's bounds span every peak
 EXTREME_TOLS = (5e-324, 1e-300, 1e308)
 
 
