@@ -46,22 +46,6 @@ class AngleTuple:
     def as_tuple(self):
         return (self.alpha, self.beta, self.gamma, self.delta)
 
-    @classmethod
-    def _from_checked(cls, t):
-        """The AngleTuple of a float 4-tuple that already passed the same checks.
-
-        For images of _balanced_edge_floats, whose range and sum checks are
-        those of __post_init__; skips them.  The instance stays frozen, and
-        is equal and hash-equal to AngleTuple(*t).
-        """
-        q = object.__new__(cls)
-        alpha, beta, gamma, delta = t
-        object.__setattr__(q, "alpha", alpha)
-        object.__setattr__(q, "beta", beta)
-        object.__setattr__(q, "gamma", gamma)
-        object.__setattr__(q, "delta", delta)
-        return q
-
 
 @dataclass(frozen=True)
 class EdgeTuple:

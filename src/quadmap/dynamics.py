@@ -66,10 +66,9 @@ class CycleInfo:
 class Trajectory:
     """An orbit of the map and the cycle it settled on, if any.
 
-    path holds the orbit as float 4-tuples, start first; the float kernel
-    has range- and sum-checked each of them.  states holds the same orbit
-    as frozen AngleTuples, built on first access and then kept; iterate
-    itself builds none of them beyond what its cycle report needs.
+    path holds the orbit as float 4-tuples, start first.  states holds the
+    same orbit as frozen AngleTuples, validated by AngleTuple when first
+    read and then kept.  residual is the detector's distance at exit.
     """
 
     path: tuple
@@ -77,11 +76,20 @@ class Trajectory:
 
     @cached_property
     def states(self) -> tuple:
-        return tuple(map(AngleTuple._from_checked, self.path))
+        return tuple(AngleTuple(*t) for t in self.path)
 
     @property
     def classification(self) -> str:
         return self.cycle.classification if self.cycle else "no_convergence"
+
+    @property
+    def residual(self) -> float:
+        """The cycle's residual; unconverged, the least rotation_distance
+        from the last state to each of the P_MAX states before it."""
+        if self.cycle:
+            return self.cycle.residual
+        *before, last = (AngleTuple(*t) for t in self.path[-1 - P_MAX:])
+        return min(rotation_distance(last, s) for s in before)
 
 
 def step(q: AngleTuple) -> AngleTuple:
@@ -202,9 +210,10 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
     peak - tol < w < peak + tol exactly, and the float w then lies between
     the two rounded bounds.
 
-    Each state is validated once, by the kernel's range and sum checks,
-    which are those of AngleTuple.  The orbit is returned as float tuples
-    (Trajectory.path); its AngleTuples are built when states is first read.
+    The loop validates nothing: the kernel applies AngleTuple's range and
+    sum checks to each float state.  The orbit is returned as float tuples
+    (Trajectory.path); AngleTuple validates the states that the cycle
+    report, Trajectory.states or Trajectory.residual build from them.
     """
     if max_iter < 1:
         raise QuadrangleError("max_iter must be >= 1")
@@ -237,14 +246,13 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
 
 
 def _trajectory(path, period):
-    # iterate's API boundary: the kernel has range- and sum-checked every
-    # float state, so the few AngleTuples built here skip a second check;
-    # cycle representatives are images under the public step, checking the
-    # float kernel against it
+    # iterate's API boundary: the period + 1 float states the cycle report
+    # needs become AngleTuples here; cycle representatives are images under
+    # the public step, checking the float kernel against it
     path = tuple(path)
     if period is None:
         return Trajectory(path, None)
-    last = tuple(map(AngleTuple._from_checked, path[-period - 1:]))
+    last = tuple(AngleTuple(*t) for t in path[-period - 1:])
     reps = tuple(step(s) for s in last[:-1])
     classification, match = _classify(reps)
     residual = rotation_distance(last[-1], last[0])

@@ -340,19 +340,19 @@ def test_peak_window_hides_no_pair(monkeypatch, q0, kwargs):
 
 def test_states_are_built_on_first_access(monkeypatch):
     built = Counter()
-    original = AngleTuple._from_checked.__func__
+    original = AngleTuple.__post_init__
 
-    def counting(cls, t):
+    def counting(self):
         built["states"] += 1
-        return original(cls, t)
+        original(self)
 
-    monkeypatch.setattr(AngleTuple, "_from_checked", classmethod(counting))
     q0 = sample_angle_tuple(substream(2024, 1))
+    monkeypatch.setattr(AngleTuple, "__post_init__", counting)
     traj = iterate(q0)
     n, p = len(traj.path) - 1, traj.cycle.period
     assert n > 100 and p == 2
-    # only the p states re-stepped into representatives and the residual's two
-    assert built["states"] <= 2 * p + 2
+    # the last p + 1 states, and two per public step of the p representatives
+    assert built["states"] == 3 * p + 1
     built.clear()
     states = traj.states
     assert built["states"] == n + 1
@@ -361,6 +361,38 @@ def test_states_are_built_on_first_access(monkeypatch):
     assert states[0] == q0
     again = iterate(q0)
     assert again == traj and hash(again) == hash(traj)
+
+
+def test_trajectory_states_are_validated_when_read():
+    traj = Trajectory(((4.0, 1.0, 1.0, TWO_PI - 6.0),), None)
+    with pytest.raises(QuadrangleError, match="alpha = 4.0 must lie strictly inside"):
+        traj.states
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, P_MAX, P_MAX + 1, 300])
+def test_residual_is_the_detector_distance_at_exit(monkeypatch, max_iter):
+    # an unconverged orbit: the CLI's former expression over traj.states
+    q0 = sample_angle_tuple(substream(42, 0))
+    traj = iterate(q0, max_iter=max_iter)
+    assert traj.cycle is None
+    states = traj.states
+    expected = min(rotation_distance(states[-1], s) for s in states[-1 - P_MAX:-1])
+    built = Counter()
+    original = AngleTuple.__post_init__
+
+    def counting(self):
+        built["states"] += 1
+        original(self)
+
+    monkeypatch.setattr(AngleTuple, "__post_init__", counting)
+    assert traj.residual == expected
+    # only the last P_MAX + 1 states are built
+    assert built["states"] == min(len(traj.path), P_MAX + 1)
+
+
+def test_residual_of_a_converged_orbit_is_the_cycle_residual():
+    traj = iterate(sample_angle_tuple(substream(42, 0)))
+    assert traj.residual == traj.cycle.residual
 
 
 def test_trajectory_states_are_frozen_angle_tuples():
@@ -409,10 +441,11 @@ def test_loop_builds_two_triangles_and_validates_nothing(monkeypatch):
     assert counts == {"triangle": 2 * 40}
     counts.clear()
     traj = iterate(q0)
-    n, p = len(traj.states) - 1, traj.cycle.period
+    n, p = len(traj.path) - 1, traj.cycle.period
     assert n > 100 and p == 2
-    # two triangles per iteration, and p re-steps of the representatives
-    assert counts == {"triangle": 2 * n + 2 * p, "angles": 2 * p, "edges": 3 * p}
+    # two triangles per iteration, p re-steps of the representatives, and
+    # the last p + 1 states built at the boundary
+    assert counts == {"triangle": 2 * n + 2 * p, "angles": 3 * p + 1, "edges": 3 * p}
 
 
 def test_sampled_components_are_plain_floats(rng):
