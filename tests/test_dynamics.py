@@ -369,14 +369,16 @@ def test_trajectory_states_are_validated_when_read():
         traj.states
 
 
-@pytest.mark.parametrize("max_iter", [1, 2, P_MAX, P_MAX + 1, 300])
+@pytest.mark.parametrize("max_iter", [1, 2, P_MAX, P_MAX + 1, 300, 10000])
 def test_residual_is_the_detector_distance_at_exit(monkeypatch, max_iter):
-    # an unconverged orbit: the CLI's former expression over traj.states
+    # the basin CLI's former expression over traj.states; only the orbit
+    # run to 10000 iterations converges
     q0 = sample_angle_tuple(substream(42, 0))
     traj = iterate(q0, max_iter=max_iter)
-    assert traj.cycle is None
+    assert (traj.cycle is None) == (max_iter < 10000)
     states = traj.states
-    expected = min(rotation_distance(states[-1], s) for s in states[-1 - P_MAX:-1])
+    expected = traj.cycle.residual if traj.cycle else min(
+        rotation_distance(states[-1], s) for s in states[-1 - P_MAX:-1])
     built = Counter()
     original = AngleTuple.__post_init__
 
@@ -386,13 +388,8 @@ def test_residual_is_the_detector_distance_at_exit(monkeypatch, max_iter):
 
     monkeypatch.setattr(AngleTuple, "__post_init__", counting)
     assert traj.residual == expected
-    # only the last P_MAX + 1 states are built
-    assert built["states"] == min(len(traj.path), P_MAX + 1)
-
-
-def test_residual_of_a_converged_orbit_is_the_cycle_residual():
-    traj = iterate(sample_angle_tuple(substream(42, 0)))
-    assert traj.residual == traj.cycle.residual
+    # unconverged, only the last P_MAX + 1 states are built
+    assert built["states"] == (0 if traj.cycle else min(len(traj.path), P_MAX + 1))
 
 
 def test_trajectory_states_are_frozen_angle_tuples():
