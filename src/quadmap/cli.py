@@ -164,7 +164,6 @@ def cmd_solve(args) -> int:
         if args.initial:
             initial = ChartPoint(*_parse_floats(
                 args.initial, 3, "--initial expects alpha,gamma,delta"))
-            initial.as_angles()  # the implied beta must be a valid angle too
         result = solve_cycle_system(initial=initial, tol=args.tol)
         payload = {
             **_angles_json(result.solution),

@@ -8,14 +8,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from dataclasses import astuple, dataclass
+from typing import Callable, Optional
 
 from .core import TWO_PI, AngleTuple, QuadrangleError, _triangle_edges, canonicalize
 from .dynamics import c_map, step
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # central-difference step of every finite-difference derivative
 FD_STEP = 1e-6
@@ -52,10 +49,6 @@ class ChartPoint:
 
     def as_angles(self) -> AngleTuple:
         return AngleTuple(self.alpha, self.beta, self.gamma, self.delta)
-
-    def as_array(self):
-        import numpy as np
-        return np.array([self.alpha, self.gamma, self.delta])
 
     @staticmethod
     def from_angles(q: AngleTuple) -> "ChartPoint":
@@ -143,7 +136,24 @@ def cycle_system_rhs(p: ChartPoint) -> ChartPoint:
 
 
 def _cycle_residual(v):
-    return cycle_system_rhs(ChartPoint(*v)).as_array() - v
+    return tuple(r - x for r, x in zip(astuple(cycle_system_rhs(ChartPoint(*v))), v))
+
+
+def _solve3(a, b):
+    """Solve a x = b by Gaussian elimination with partial pivoting, as LAPACK's getrf."""
+    rows = [[*row, v] for row, v in zip(a, b)]
+    for k in range(3):
+        piv = max(range(k, 3), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[piv] = rows[piv], rows[k]
+        if rows[k][k] == 0.0:
+            raise SolverError("singular Newton Jacobian")
+        for row in rows[k + 1:]:
+            f = row[k] / rows[k][k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], rows[k][k:])]
+    x = [0.0, 0.0, 0.0]
+    for i in (2, 1, 0):
+        x[i] = (rows[i][3] - sum(rows[i][j] * x[j] for j in range(i + 1, 3))) / rows[i][i]
+    return x
 
 
 def solve_cycle_system(initial: Optional[ChartPoint] = None,
@@ -153,7 +163,8 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
     Step-halving line search on the residual sup-norm, inside the domain;
     fd_jacobian supplies the Jacobian.  Beta is implied by the angle sum.
     """
-    import numpy as np
+    if initial is not None:
+        initial.as_angles()   # the implied beta must be a valid angle too
     if not 1e-13 <= tol < math.inf:   # a NaN tol fails here too
         raise QuadrangleError("tol must be finite and at least 1e-13")
     if initial is None:
@@ -167,22 +178,20 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
     else:
         provenance = "caller-supplied initial guess"
 
-    v = initial.as_array()
+    v = astuple(initial)
     res = _cycle_residual(v)
-    norm = np.max(np.abs(res))
+    norm = max(map(abs, res))
     for it in range(1, CYCLE_MAX_ITER + 1):
         if norm <= tol:
-            return SolveResult(ChartPoint(*v), float(norm), it - 1, provenance)
-        try:
-            jac = fd_jacobian(cycle_system_rhs, ChartPoint(*v)) - np.eye(3)
-            s = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular Newton Jacobian") from exc
+            return SolveResult(ChartPoint(*v), norm, it - 1, provenance)
+        jac = fd_jacobian(cycle_system_rhs, ChartPoint(*v))
+        s = _solve3([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(jac)],
+                    [-r for r in res])
         lam = 1.0
         while True:
-            trial = v + lam * s
+            trial = tuple(x + lam * d for x, d in zip(v, s))
             trial_res = _cycle_residual(trial)
-            trial_norm = np.max(np.abs(trial_res))
+            trial_norm = max(map(abs, trial_res))
             if trial_norm < norm and _inside(ChartPoint(*trial), FD_STEP):
                 break
             lam *= 0.5
@@ -190,35 +199,55 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
                 raise SolverError("line search damping collapsed")
         v, res, norm = trial, trial_res, trial_norm
     if norm <= tol:
-        return SolveResult(ChartPoint(*v), float(norm), CYCLE_MAX_ITER, provenance)
+        return SolveResult(ChartPoint(*v), norm, CYCLE_MAX_ITER, provenance)
     raise SolverError(f"residual {norm} above tol {tol} after {CYCLE_MAX_ITER} iterations")
 
 
 def fd_jacobian(chart_map: Callable[[ChartPoint], ChartPoint],
-                p: ChartPoint, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference 3x3 Jacobian of a chart map."""
-    import numpy as np
+                p: ChartPoint, h: float = FD_STEP) -> tuple:
+    """Central-difference 3x3 Jacobian of a chart map, as three row tuples."""
     if not 1e-8 <= h <= 1e-4:
         raise QuadrangleError("fd step h must lie in [1e-8, 1e-4]")
     if not _inside(p, h):
         raise SolverError("chart point within h of the domain boundary")
-    v = p.as_array()
-    jac = np.empty((3, 3))
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        jac[:, j] = (chart_map(ChartPoint(*(v + e))).as_array()
-                     - chart_map(ChartPoint(*(v - e))).as_array()) / (2.0 * h)
-    if not np.all(np.isfinite(jac)):
+    v = astuple(p)
+    images = [[astuple(chart_map(ChartPoint(*(x + d * (i == j) for i, x in enumerate(v)))))
+               for d in (h, -h)] for j in range(3)]
+    # column j is the central difference along coordinate j
+    jac = tuple(zip(*([(a - b) / (2.0 * h) for a, b in zip(up, down)] for up, down in images)))
+    if not all(math.isfinite(x) for row in jac for x in row):
         raise SolverError("Jacobian has non-finite entries")
     return jac
 
 
 def eigenvalue_moduli_3x3(m) -> tuple:
-    """Moduli of the eigenvalues of a real 3x3 matrix, sorted descending."""
-    import numpy as np
-    moduli = np.abs(np.linalg.eigvals(np.asarray(m, dtype=float)))
-    return tuple(sorted((float(x) for x in moduli), reverse=True))
+    """Moduli of the eigenvalues of a real 3x3 matrix, sorted descending.
+
+    Roots of the cubic y^3 + p*y + q of (m - t*I) / s, t the mean diagonal and
+    s the largest |entry| of m - t*I (no finite m overflows): the trigonometric
+    form for three real roots, else Cardano's root and the deflated quadratic.
+    """
+    t = sum(float(m[i][i]) for i in range(3)) / 3.0
+    shifted = [[float(x) - t * (i == j) for j, x in enumerate(r)] for i, r in enumerate(m)]
+    s = max(abs(x) for row in shifted for x in row)
+    if s == 0.0:
+        return (abs(t),) * 3
+    (a, b, c), (d, e, f), (g, h, k) = ([x / s for x in row] for row in shifted)
+    p = a * e - b * d + a * k - c * g + e * k - f * h
+    q = -(a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g))
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    if disc <= 0.0:   # three real roots
+        m3 = max(-p / 3.0, 0.0)
+        r = math.sqrt(m3)
+        phi = math.acos(max(-1.0, min(1.0, -q / (2.0 * m3) / r))) / 3.0 if r else 0.0
+        moduli = [abs(t + s * 2.0 * r * math.cos(phi - TWO_PI * n / 3.0)) for n in range(3)]
+    else:             # one real root y1 and a conjugate pair of product p + y1^2
+        z = -q / 2.0 - math.copysign(math.sqrt(disc), q)
+        u = math.copysign(abs(z) ** (1.0 / 3.0), z)
+        y1 = u - p / (3.0 * u)
+        pair = math.hypot(t - s * y1 / 2.0, s * math.sqrt(abs(p + 0.75 * y1 * y1)))
+        moduli = [abs(t + s * y1), pair, pair]
+    return tuple(sorted(moduli, reverse=True))
 
 
 def stability_report(q: AngleTuple, map_order: int = 1) -> StabilityReport:
@@ -238,7 +267,7 @@ def stability_report(q: AngleTuple, map_order: int = 1) -> StabilityReport:
     return StabilityReport(
         point=p,
         map_order=map_order,
-        jacobian=tuple(tuple(row) for row in jac),
+        jacobian=jac,
         eigenvalue_moduli=moduli,
         spectral_radius=moduli[0],
     )

@@ -182,6 +182,7 @@ class TestCurve:
 BASIN_20_SEED_42_SHA256 = "d1c8b775ccaece577c9960d5899f0b21f25710fe69c92e84c960e4f13e34fde9"
 BASIN_1000_SEED_42_SHA256 = "32f88f2652513cd703fe2f1222f16f82cc38c042b821b26aab77f72537cfe0a0"
 README_ITERATE_CSV_SHA256 = "61e77b0e6c5618c42e46bcd65d06b6b10418db993498ed44db9e96a766796f1e"
+README_SOLVE_CYCLE_SHA256 = "36134aad2a77a71b8d6b79761e382e23b4c3d85557f0e0a43516914cdde50946"
 
 
 def test_basin_stdout_bytes_are_pinned(capsys):
@@ -204,6 +205,14 @@ def test_readme_iterate_csv_bytes_are_pinned(capsys, tmp_path):
                     "--out", str(path))
     assert (code, out) == (0, "")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == README_ITERATE_CSV_SHA256
+
+
+def test_readme_solve_cycle_bytes_are_pinned(capsys):
+    # the Newton step comes from the package's own 3x3 elimination; the
+    # solution and residual it prints are the ones LAPACK's solve gave
+    code, out = run(capsys, "solve", "cycle")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == README_SOLVE_CYCLE_SHA256
 
 
 class TestBasin:
@@ -320,6 +329,15 @@ class TestSolve:
         code, err = run_bounded(capsys, 30, "solve", "cycle", "--initial", initial)
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("initial, message", [
+        ("a,b,c", "bad number in 'a,b,c'"),
+        ("3,3,3", "beta = -2.7168146928204138 must lie strictly inside (0, pi)"),
+    ])
+    def test_cycle_invalid_initial_message(self, capsys, initial, message):
+        # the solver validates its start itself; the CLI's words stay the same
+        code, err = run_bounded(capsys, 30, "solve", "cycle", "--initial", initial)
+        assert (code, err) == (2, f"error: {message}\n")
 
 
 class TestStability:
@@ -438,7 +456,10 @@ for argv in (["step", "--angles", angles, "--json"], ["cycle", "--angles", angle
              ["iterate", "--angles", angles], ["curve"], ["solve", "trapezoid"]):
     assert quadmap.cli.main(argv + ["--out", out]) == 0, argv
 loaded.append("numpy" in sys.modules)
-assert quadmap.cli.main(["solve", "cycle", "--out", out]) == 0
+square, cycle = ",".join(["1.5707963267948966"] * 4), angles
+for argv in (["solve", "cycle"], ["stability", "--angles", square, "--order", "1"],
+             ["stability", "--angles", cycle, "--order", "2"]):
+    assert quadmap.cli.main(argv + ["--out", out]) == 0, argv
 loaded.append("numpy" in sys.modules)
 print(loaded)
 """
@@ -446,15 +467,48 @@ print(loaded)
 
 def test_numpy_stays_out_of_the_cold_path(tmp_path):
     # numpy's import is most of a fresh process's start-up; only the code
-    # that computes with it (here the cycle solve) may load it
+    # that computes with it (sampling, the closure oracle) may load it
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", COLD_PATH, str(tmp_path / "out.txt")],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    # after the imports, after the five numpy-free commands, after solve cycle
-    assert proc.stdout.strip() == "[False, False, True]"
+    # after the imports, after the five numpy-free commands, after solve
+    # cycle and stability
+    assert proc.stdout.strip() == "[False, False, False]"
+
+
+WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None   # any import of numpy now raises ImportError
+import quadmap.cli
+outs = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = quadmap.cli.main(argv)
+    outs.append([code, buf.getvalue()])
+print(json.dumps(outs))
+"""
+
+SOLVER_ARGVS = [
+    ["solve", "cycle"],
+    ["solve", "cycle", "--initial", "1.5,1.4,1.5"],
+    ["stability", "--angles", SQUARE_ARG, "--order", "1"],
+    ["stability", "--angles", "1.2,2.1,1.5,1.4831853071795865", "--order", "2"],
+]
+
+
+def test_solver_commands_run_without_numpy(capsys):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY, json.dumps(SOLVER_ARGVS)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # the same bytes as in this process, where numpy is importable
+    assert json.loads(proc.stdout) == [list(run(capsys, *argv)) for argv in SOLVER_ARGVS]
 
 
 FLOATS = st.one_of(

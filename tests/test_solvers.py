@@ -3,12 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadmap.core import TWO_PI, AngleTuple, QuadrangleError, balanced_edges, canonicalize
 from quadmap.dynamics import A_STAR, GENERAL_CYCLE_ANGLES, SQUARE, c_map, step
 from quadmap.solvers import (
     ChartPoint,
     SolverError,
+    _solve3,
     bisect,
     c_map_slope,
     cycle_system_rhs,
@@ -103,8 +105,9 @@ class TestCycleSystem:
 
     def test_paper_values_near_root(self):
         p = ChartPoint(PAPER_CYCLE[0], PAPER_CYCLE[2], PAPER_CYCLE[3])
-        res = cycle_system_rhs(p).as_array() - p.as_array()
-        assert np.max(np.abs(res)) < 1e-9
+        r = cycle_system_rhs(p)
+        res = (r.alpha - p.alpha, r.gamma - p.gamma, r.delta - p.delta)
+        assert max(map(abs, res)) < 1e-9
 
     def test_rhs_is_balanced_edges_of_canonical_state(self, random_angles):
         # the relations read x1, x3, x2 of the balanced edges, bit for bit
@@ -127,6 +130,15 @@ class TestCycleSystem:
         start = ChartPoint.from_angles(canonicalize(q).rotated)
         explicit = solve_cycle_system(initial=start, tol=1e-12)
         assert (explicit.solution, explicit.iterations) == (r.solution, r.iterations)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("coord", range(3))
+    def test_non_finite_initial_is_invalid_input(self, coord, value):
+        # the start is validated before any tol check or sine is taken
+        initial = [1.5, 1.4, 1.5]
+        initial[coord] = value
+        with pytest.raises(QuadrangleError, match="must lie strictly inside"):
+            solve_cycle_system(initial=ChartPoint(*initial), tol=0.0)
 
     def test_explicit_initial(self):
         r = solve_cycle_system(initial=ChartPoint(1.5, 1.4, 1.5), tol=1e-12)
@@ -226,6 +238,60 @@ class TestEigenvalueModuli:
             ref = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
             worst = max(worst, float(np.max(np.abs(mine - ref))))
         assert worst < 1e-8
+
+
+class TestSolve3:
+    def test_matches_lapack_on_well_conditioned_matrices(self, rng):
+        # Q1 diag(sv) Q2 with singular values in [0.5, 2]: condition number <= 4
+        worst = 0.0
+        for _ in range(1000):
+            q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            a = q1 @ np.diag(rng.uniform(0.5, 2.0, 3)) @ q2
+            b = rng.uniform(-1.0, 1.0, 3)
+            ref = np.linalg.solve(a, b)
+            x = np.array(_solve3(a.tolist(), b.tolist()))
+            worst = max(worst, float(np.max(np.abs(x - ref)) / np.max(np.abs(ref))))
+        assert worst < 1e-12
+
+    def test_singular_matrix_raises(self):
+        a = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.array(a), np.ones(3))
+        with pytest.raises(SolverError, match="singular Newton Jacobian"):
+            _solve3(a, [1.0, 1.0, 1.0])
+
+
+UNIT_MATRICES = st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9).map(
+    lambda v: np.array(v).reshape(3, 3)).filter(lambda m: np.any(m != 0.0)).map(
+    lambda m: m / np.max(np.abs(m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit=UNIT_MATRICES, exponent=st.integers(-300, 300))
+def test_moduli_of_any_scaled_matrix_are_finite_and_consistent(unit, exponent):
+    # entries up to 1e300 or down to 1e-300: the shift and scaling keep the
+    # cubic's coefficients of order one, so nothing overflows or underflows
+    scale = 10.0 ** exponent
+    moduli = eigenvalue_moduli_3x3((unit * scale).tolist())
+    assert all(math.isfinite(x) for x in moduli)
+    # largest entry of the unit matrix is 1, so the error is absolute; numpy's
+    # LU determinant divides by zero on an exactly singular matrix
+    with np.errstate(divide="ignore"):
+        det = np.linalg.det(unit)
+    assert math.prod(x / scale for x in moduli) == pytest.approx(abs(det), abs=1e-12)
+    if np.max(np.abs(np.linalg.eigvals(unit).imag)) > 1e-4:
+        # a conjugate pair shares one modulus, computed once
+        assert len(set(moduli)) < 3
+
+
+@pytest.mark.parametrize("q, order", [
+    (SQUARE, 1), (GENERAL_CYCLE_ANGLES, 2),
+], ids=["square_f", "cycle_f2"])
+def test_published_spectra_match_the_qr_oracle(q, order):
+    jac = stability_report(q, map_order=order).jacobian
+    ref = np.sort(np.abs(np.linalg.eigvals(np.array(jac))))[::-1]
+    assert np.max(np.abs(np.array(eigenvalue_moduli_3x3(jac)) - ref)) <= 1e-15
 
 
 class TestStabilityReport:
