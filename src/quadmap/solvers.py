@@ -223,15 +223,17 @@ def fd_jacobian(chart_map: Callable[[ChartPoint], ChartPoint],
 def eigenvalue_moduli_3x3(m) -> tuple:
     """Moduli of the eigenvalues of a real 3x3 matrix, sorted descending.
 
-    Roots of the cubic y^3 + p*y + q of (m - t*I) / s, t the mean diagonal and
-    s the largest |entry| of m - t*I (no finite m overflows): the trigonometric
-    form for three real roots, else Cardano's root and the deflated quadratic.
+    Roots of the cubic y^3 + p*y + q of (u - t*I) / s, with u = m / 2^k < 2 (no
+    overflow), t the mean diagonal of u, s the largest |entry| of u - t*I: three
+    real roots in trigonometric form, else Cardano's root and a deflated quadratic.
     """
-    t = sum(float(m[i][i]) for i in range(3)) / 3.0
-    shifted = [[float(x) - t * (i == j) for j, x in enumerate(r)] for i, r in enumerate(m)]
+    top = math.ldexp(1.0, math.frexp(max(abs(float(x)) for row in m for x in row))[1] - 1)
+    unit = [[float(x) / top for x in row] for row in m]
+    t = sum(unit[i][i] for i in range(3)) / 3.0
+    shifted = [[x - t * (i == j) for j, x in enumerate(r)] for i, r in enumerate(unit)]
     s = max(abs(x) for row in shifted for x in row)
     if s == 0.0:
-        return (abs(t),) * 3
+        return (abs(t) * top,) * 3
     (a, b, c), (d, e, f), (g, h, k) = ([x / s for x in row] for row in shifted)
     p = a * e - b * d + a * k - c * g + e * k - f * h
     q = -(a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g))
@@ -247,7 +249,7 @@ def eigenvalue_moduli_3x3(m) -> tuple:
         y1 = u - p / (3.0 * u)
         pair = math.hypot(t - s * y1 / 2.0, s * math.sqrt(abs(p + 0.75 * y1 * y1)))
         moduli = [abs(t + s * y1), pair, pair]
-    return tuple(sorted(moduli, reverse=True))
+    return tuple(sorted((top * x for x in moduli), reverse=True))
 
 
 def stability_report(q: AngleTuple, map_order: int = 1) -> StabilityReport:

@@ -285,6 +285,12 @@ def test_moduli_of_any_scaled_matrix_are_finite_and_consistent(unit, exponent):
         assert len(set(moduli)) < 3
 
 
+def test_moduli_near_the_largest_double():
+    # the diagonal's sum alone overflows; the power-of-two prescale does not
+    m = [[1e308, 1e308, 0.0], [0.0, 1e308, 0.0], [0.0, 0.0, 1e308]]
+    assert eigenvalue_moduli_3x3(m) == (1e308, 1e308, 1e308)
+
+
 @pytest.mark.parametrize("q, order", [
     (SQUARE, 1), (GENERAL_CYCLE_ANGLES, 2),
 ], ids=["square_f", "cycle_f2"])
