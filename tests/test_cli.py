@@ -456,9 +456,9 @@ for argv in (["step", "--angles", angles, "--json"], ["cycle", "--angles", angle
              ["iterate", "--angles", angles], ["curve"], ["solve", "trapezoid"]):
     assert quadmap.cli.main(argv + ["--out", out]) == 0, argv
 loaded.append("numpy" in sys.modules)
-square, cycle = ",".join(["1.5707963267948966"] * 4), angles
+square = ",".join(["1.5707963267948966"] * 4)
 for argv in (["solve", "cycle"], ["stability", "--angles", square, "--order", "1"],
-             ["stability", "--angles", cycle, "--order", "2"]):
+             ["stability", "--angles", angles, "--order", "2"]):
     assert quadmap.cli.main(argv + ["--out", out]) == 0, argv
 loaded.append("numpy" in sys.modules)
 print(loaded)
