@@ -110,9 +110,14 @@ def validate_angles(alpha, beta, gamma, delta) -> AngleTuple:
     return AngleTuple(float(alpha), float(beta), float(gamma), float(delta))
 
 
+def _components(t):
+    """The components of an angle or edge tuple, or of a plain 4-sequence, as a tuple."""
+    return t.as_tuple() if hasattr(t, "as_tuple") else tuple(t)
+
+
 def rotate_labels(t, k):
     """Cyclic shift of a 4-tuple by k positions: (t[k], t[k+1], ...)."""
-    seq = t.as_tuple() if hasattr(t, "as_tuple") else tuple(t)
+    seq = _components(t)
     k %= 4
     return seq[k:] + seq[:k]
 
@@ -128,11 +133,11 @@ DIHEDRAL = ROTATIONS + ((0, 3, 2, 1), (3, 2, 1, 0), (2, 1, 0, 3), (1, 0, 3, 2))
 def relabel_distance(p, q, group) -> float:
     """Minimum sup-norm distance between p and the relabelings of q in group.
 
-    p and q are angle or edge tuples; group is an index table such as
-    IDENTITY (plain sup norm), ROTATIONS or DIHEDRAL.
+    p and q are angle or edge tuples or float 4-tuples; group is an index
+    table such as IDENTITY (plain sup norm), ROTATIONS or DIHEDRAL.
     """
-    p0, p1, p2, p3 = p.as_tuple()
-    qt = q.as_tuple()
+    p0, p1, p2, p3 = _components(p)
+    qt = _components(q)
     return min([max(abs(p0 - qt[i]), abs(p1 - qt[j]),
                     abs(p2 - qt[k]), abs(p3 - qt[m])) for i, j, k, m in group])
 

@@ -68,7 +68,7 @@ class Trajectory:
 
     path holds the orbit as float 4-tuples, start first.  states holds the
     same orbit as frozen AngleTuples, validated by AngleTuple when first
-    read and then kept.  residual is the detector's distance at exit.
+    read and then kept.  residual is the detector's distance at exit, on path.
     """
 
     path: tuple
@@ -84,11 +84,11 @@ class Trajectory:
 
     @property
     def residual(self) -> float:
-        """The cycle's residual; unconverged, the least rotation_distance
-        from the last state to each of the P_MAX states before it."""
+        """The cycle's residual; unconverged, the least rotation_distance on
+        path from the last state to each of the P_MAX states before it."""
         if self.cycle:
             return self.cycle.residual
-        *before, last = (AngleTuple(*t) for t in self.path[-1 - P_MAX:])
+        *before, last = self.path[-1 - P_MAX:]
         return min(rotation_distance(last, s) for s in before)
 
 
@@ -141,7 +141,7 @@ def dihedral_distance(p: AngleTuple, q: AngleTuple) -> float:
     return relabel_distance(p, q, DIHEDRAL)
 
 
-def rotation_distance(p: AngleTuple, q: AngleTuple) -> float:
+def rotation_distance(p, q) -> float:
     """Minimum sup-norm distance over the 4 cyclic relabelings of q.
 
     This is the metric of the rotation-quotient space, where the map's
@@ -179,16 +179,6 @@ def _classify(reps):
     return "other_cycle", math.inf
 
 
-def _rotation_within(p, q, tol) -> bool:
-    """rotation_distance(p, q) < tol on float 4-tuples, stopping at the first miss."""
-    p0, p1, p2, p3 = p
-    for i, j, k, m in ROTATIONS:
-        if (abs(p0 - q[i]) < tol and abs(p1 - q[j]) < tol
-                and abs(p2 - q[k]) < tol and abs(p3 - q[m]) < tol):
-            return True
-    return False
-
-
 def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajectory:
     """Iterate the map with cycle detection.
 
@@ -211,9 +201,12 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
     the two rounded bounds.
 
     The loop validates nothing: the kernel applies AngleTuple's range and
-    sum checks to each float state.  The orbit is returned as float tuples
-    (Trajectory.path); AngleTuple validates the states that the cycle
-    report, Trajectory.states or Trajectory.residual build from them.
+    sum checks to each float state, and the rotation scan is
+    rotation_distance(q, path[n - p]) < tol on the floats (its least
+    max-difference is below tol exactly when some rotation has all four
+    differences below tol).  Both residuals are measured on Trajectory.path;
+    AngleTuple validates only the period states the cycle report re-steps
+    and, when read, Trajectory.states.
     """
     if max_iter < 1:
         raise QuadrangleError("max_iter must be >= 1")
@@ -233,7 +226,7 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
             streak = [0] * (P_MAX + 1)
         else:
             for p in range(1, min(P_MAX, n) + 1):
-                if abs(peak - peaks[n - p]) < tol and _rotation_within(q, path[n - p], tol):
+                if abs(peak - peaks[n - p]) < tol and rotation_distance(q, path[n - p]) < tol:
                     streak[p] += 1
                     if streak[p] >= CONFIRMATIONS:
                         return _trajectory(path, p)
@@ -246,15 +239,13 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
 
 
 def _trajectory(path, period):
-    # iterate's API boundary: the period + 1 float states the cycle report
-    # needs become AngleTuples here; cycle representatives are images under
-    # the public step, checking the float kernel against it
+    # iterate's API boundary: the public step re-steps the period states
+    # before the last, checking the float kernel against it
     path = tuple(path)
     if period is None:
         return Trajectory(path, None)
-    last = tuple(AngleTuple(*t) for t in path[-period - 1:])
-    reps = tuple(step(s) for s in last[:-1])
+    reps = tuple(step(AngleTuple(*t)) for t in path[-1 - period:-1])
     classification, match = _classify(reps)
-    residual = rotation_distance(last[-1], last[0])
+    residual = rotation_distance(path[-1], path[-1 - period])
     cycle = CycleInfo(period, reps, classification, residual, match)
     return Trajectory(path, cycle)

@@ -226,7 +226,10 @@ def eigenvalue_moduli_3x3(m) -> tuple:
     Roots of the cubic y^3 + p*y + q of (u - t*I) / s, with u = m / 2^k < 2 (no
     overflow), t the mean diagonal of u, s the largest |entry| of u - t*I: three
     real roots in trigonometric form, else Cardano's root and a deflated quadratic.
+    A NaN or infinite entry raises SolverError, as numpy's eigvals refused it.
     """
+    if not all(math.isfinite(x) for row in m for x in row):
+        raise SolverError("matrix has non-finite entries")
     top = math.ldexp(1.0, math.frexp(max(abs(float(x)) for row in m for x in row))[1] - 1)
     unit = [[float(x) / top for x in row] for row in m]
     t = sum(unit[i][i] for i in range(3)) / 3.0

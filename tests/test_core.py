@@ -126,6 +126,14 @@ class TestDegenerateEdges:
         with pytest.raises(QuadrangleError, match=r"gamma \+ delta must not exceed pi"):
             degenerate_edges_second(2.0, 2.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -0.5, PI, 4.0, math.nan])
+    def test_arguments_outside_zero_pi_are_domain_errors(self, bad):
+        for first, second in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(QuadrangleError, match=r"alpha and delta must lie in \(0, pi\)"):
+                degenerate_edges_first(first, second)
+            with pytest.raises(QuadrangleError, match=r"gamma and delta must lie in \(0, pi\)"):
+                degenerate_edges_second(first, second)
+
     @pytest.mark.parametrize("excess", [1e-10, 2e-9])
     @pytest.mark.parametrize("endpoint", [degenerate_edges_first, degenerate_edges_second])
     def test_pair_sum_past_pi_is_domain_error(self, endpoint, excess):
@@ -316,6 +324,35 @@ class TestBalancedEdgeFloats:
         q = validate_angles(*SQUARE)
         with pytest.raises(QuadrangleError, match=step_reason):
             step(q)
+        with pytest.raises(QuadrangleError, match=kernel_reason):
+            core._balanced_edge_floats(q.as_tuple())
+
+    @pytest.mark.parametrize("triangle, step_reason, kernel_reason", [
+        ((-0.1, 3.0, TWO_PI - 2.9), "x1 = -0.1 outside allowed edge range",
+         r"degenerate endpoint \(-0.1, 3.0, .*\) outside edge range"),
+        ((1.0, 1.0, 1.0), "edge sum 3.0 differs from 2",
+         r"degenerate endpoint \(1.0, 1.0, 1.0\) does not sum to 2"),
+    ], ids=["endpoint_range", "endpoint_sum"])
+    def test_second_endpoint_checks_match_step(self, monkeypatch, triangle,
+                                               step_reason, kernel_reason):
+        # both paths build the x3 = 0 endpoint first; corrupting only the
+        # second triangle call leaves it valid, so the x2 = 0 endpoint's own
+        # checks must reject the corrupted edges
+        original = core._triangle_edges
+
+        def second_call_corrupted():
+            calls = []
+
+            def fake(phi, psi):
+                calls.append((phi, psi))
+                return triangle if len(calls) == 2 else original(phi, psi)
+            return fake
+
+        q = validate_angles(*SQUARE)
+        monkeypatch.setattr(core, "_triangle_edges", second_call_corrupted())
+        with pytest.raises(QuadrangleError, match=step_reason):
+            step(q)
+        monkeypatch.setattr(core, "_triangle_edges", second_call_corrupted())
         with pytest.raises(QuadrangleError, match=kernel_reason):
             core._balanced_edge_floats(q.as_tuple())
 

@@ -26,7 +26,6 @@ from quadmap.dynamics import (
     CycleInfo,
     Trajectory,
     _classify,
-    _rotation_within,
     c_map,
     dihedral_distance,
     general_cycle_pair,
@@ -283,15 +282,17 @@ def test_coarse_cases_reach_both_sides_of_the_prefilter(monkeypatch):
     # the coarse cases must include scans that fail at a peak difference
     # above tol/2, or the bitwise comparison would not test the prefilter
     seen = []
+    tol = None
 
-    def recording(p, q, tol):
-        hit = _rotation_within(p, q, tol)
-        seen.append((abs(max(p) - max(q)) / tol, hit))
-        return hit
+    def recording(p, q):
+        d = rotation_distance(p, q)
+        seen.append((abs(max(p) - max(q)) / tol, d < tol))
+        return d
 
-    monkeypatch.setattr("quadmap.dynamics._rotation_within", recording)
+    monkeypatch.setattr("quadmap.dynamics.rotation_distance", recording)
     for case in _coarse_cases():
         q0, kwargs = case.values
+        tol = kwargs["tol"]
         iterate(q0, **kwargs)
     assert all(ratio < 1.0 for ratio, _ in seen)
     assert any(ratio > 0.5 and not hit for ratio, hit in seen)
@@ -301,7 +302,8 @@ def test_coarse_cases_reach_both_sides_of_the_prefilter(monkeypatch):
 def test_peak_difference_bounds_rotation_distance(rng, tol):
     # max is relabeling-invariant and 1-Lipschitz in the sup norm, and
     # rounded subtraction is monotone, so the bound holds in floats; iterate
-    # skips the rotation scan on it
+    # skips the rotation scan on it, and scans the float states, on which
+    # rotation_distance reads the same bits as on the AngleTuples
     pairs = [(sample_angle_tuple(rng), sample_angle_tuple(rng)) for _ in range(300)]
     for _ in range(300):
         p = sample_angle_tuple(rng, margin=0.2)
@@ -312,21 +314,22 @@ def test_peak_difference_bounds_rotation_distance(rng, tol):
         gap = abs(max(p.as_tuple()) - max(q.as_tuple()))
         d = rotation_distance(p, q)
         assert gap <= d
-        assert _rotation_within(p.as_tuple(), q.as_tuple(), tol) == (d < tol)
+        assert rotation_distance(p.as_tuple(), q.as_tuple()) == d
 
 
 @pytest.mark.parametrize("q0, kwargs", _reference_cases())
 def test_peak_window_hides_no_pair(monkeypatch, q0, kwargs):
     # every pair whose peaks differ by less than tol reaches the rotation
     # scan, in loop order, up to the accepting one: the sorted peak window
-    # only skips iterations at which no period could pass the peak test
+    # only skips iterations at which no period could pass the peak test;
+    # a converged orbit's residual then measures the accepting pair again
     scanned = []
 
-    def recording(p, q, tol):
+    def recording(p, q):
         scanned.append((p, q))
-        return _rotation_within(p, q, tol)
+        return rotation_distance(p, q)
 
-    monkeypatch.setattr("quadmap.dynamics._rotation_within", recording)
+    monkeypatch.setattr("quadmap.dynamics.rotation_distance", recording)
     traj = iterate(q0, **kwargs)
     tol = kwargs.get("tol", 1e-12)
     path, last = traj.path, len(traj.path) - 1
@@ -335,6 +338,8 @@ def test_peak_window_hides_no_pair(monkeypatch, q0, kwargs):
                 for n in range(1, last + 1) for p in range(1, min(P_MAX, n) + 1)
                 if abs(peaks[n] - peaks[n - p]) < tol
                 and not (traj.cycle and n == last and p > traj.cycle.period)]
+    if traj.cycle:
+        expected.append((path[last], path[last - traj.cycle.period]))
     assert scanned == expected
 
 
@@ -351,8 +356,8 @@ def test_states_are_built_on_first_access(monkeypatch):
     traj = iterate(q0)
     n, p = len(traj.path) - 1, traj.cycle.period
     assert n > 100 and p == 2
-    # the last p + 1 states, and two per public step of the p representatives
-    assert built["states"] == 3 * p + 1
+    # the p states re-stepped, and two per public step of them
+    assert built["states"] == 3 * p
     built.clear()
     states = traj.states
     assert built["states"] == n + 1
@@ -388,8 +393,8 @@ def test_residual_is_the_detector_distance_at_exit(monkeypatch, max_iter):
 
     monkeypatch.setattr(AngleTuple, "__post_init__", counting)
     assert traj.residual == expected
-    # unconverged, only the last P_MAX + 1 states are built
-    assert built["states"] == (0 if traj.cycle else min(len(traj.path), P_MAX + 1))
+    # both residuals are measured on the float path and build no state
+    assert built["states"] == 0
 
 
 def test_trajectory_states_are_frozen_angle_tuples():
@@ -440,9 +445,9 @@ def test_loop_builds_two_triangles_and_validates_nothing(monkeypatch):
     traj = iterate(q0)
     n, p = len(traj.path) - 1, traj.cycle.period
     assert n > 100 and p == 2
-    # two triangles per iteration, p re-steps of the representatives, and
-    # the last p + 1 states built at the boundary
-    assert counts == {"triangle": 2 * n + 2 * p, "angles": 3 * p + 1, "edges": 3 * p}
+    # two triangles per iteration, and p re-steps of the representatives
+    # from the p states built at the boundary
+    assert counts == {"triangle": 2 * n + 2 * p, "angles": 3 * p, "edges": 3 * p}
 
 
 def test_sampled_components_are_plain_floats(rng):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quadmap.solvers as solvers
 from quadmap.core import TWO_PI, AngleTuple, QuadrangleError, balanced_edges, canonicalize
 from quadmap.dynamics import A_STAR, GENERAL_CYCLE_ANGLES, SQUARE, c_map, step
 from quadmap.solvers import (
@@ -56,6 +57,23 @@ class TestBisect:
     def test_bad_bracket(self):
         with pytest.raises(QuadrangleError, match="bisect requires lo < hi"):
             bisect(lambda x: x, 2.0, 1.0)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (0.0, 1.0)], ids=["lo", "hi"])
+    def test_exact_root_at_an_endpoint(self, lo, hi):
+        r = bisect(lambda x: x - 1.0, lo, hi)
+        assert (r.solution, r.residual_norm, r.iterations) == (1.0, 0.0, 0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("end", [0.0, 2.0], ids=["lo", "hi"])
+    def test_non_finite_at_an_endpoint(self, end, value):
+        with pytest.raises(SolverError, match="function not finite at bracket endpoints"):
+            bisect(lambda x: value if x == end else x - 1.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inside_the_bracket(self, value):
+        # a sign change between the ends, and no value at the first midpoint
+        with pytest.raises(SolverError, match=r"function not finite at 1\.0$"):
+            bisect(lambda x: value if x == 1.0 else x - 0.5, 0.0, 2.0)
 
     @pytest.mark.parametrize("fn, lo, hi, root", [
         (lambda x: x - 1.0, 0.0, 2.0, 1.0),
@@ -140,6 +158,19 @@ class TestCycleSystem:
         with pytest.raises(QuadrangleError, match="must lie strictly inside"):
             solve_cycle_system(initial=ChartPoint(*initial), tol=0.0)
 
+    def test_budget_met_by_the_last_step(self, monkeypatch):
+        # the default solve takes 3 Newton steps; with a budget of 3 its
+        # residual is first compared with tol after the loop
+        full = solve_cycle_system(tol=1e-12)
+        assert full.iterations == 3
+        monkeypatch.setattr(solvers, "CYCLE_MAX_ITER", 3)
+        assert solve_cycle_system(tol=1e-12) == full
+
+    def test_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(solvers, "CYCLE_MAX_ITER", 2)
+        with pytest.raises(SolverError, match=r"above tol 1e-12 after 2 iterations$"):
+            solve_cycle_system(tol=1e-12)
+
     def test_explicit_initial(self):
         r = solve_cycle_system(initial=ChartPoint(1.5, 1.4, 1.5), tol=1e-12)
         assert abs(r.solution.alpha - PAPER_CYCLE[0]) < 1e-10
@@ -193,6 +224,12 @@ class TestFdJacobian:
         p = ChartPoint.from_angles(GENERAL_CYCLE_ANGLES)
         with pytest.raises(QuadrangleError, match=r"fd step h must lie in \[1e-8, 1e-4\]"):
             fd_jacobian(lambda x: x, p, h=1e-3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_image_raises(self, value):
+        p = ChartPoint.from_angles(GENERAL_CYCLE_ANGLES)
+        with pytest.raises(SolverError, match="Jacobian has non-finite entries"):
+            fd_jacobian(lambda c: ChartPoint(value, c.gamma, c.delta), p)
 
 
 class TestEigenvalueModuli:
@@ -289,6 +326,18 @@ def test_moduli_near_the_largest_double():
     # the diagonal's sum alone overflows; the power-of-two prescale does not
     m = [[1e308, 1e308, 0.0], [0.0, 1e308, 0.0], [0.0, 0.0, 1e308]]
     assert eigenvalue_moduli_3x3(m) == (1e308, 1e308, 1e308)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 2), (1, 1), (1, 2), (2, 0)])
+def test_non_finite_entry_raises(i, j, value):
+    # numpy's eigvals, the oracle, refuses the matrix too
+    m = [[0.5, 0.1, 0.0], [0.2, 0.9, 0.3], [0.0, 0.4, 0.7]]
+    m[i][j] = value
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigvals(np.array(m))
+    with pytest.raises(SolverError, match="matrix has non-finite entries"):
+        eigenvalue_moduli_3x3(m)
 
 
 @pytest.mark.parametrize("q, order", [
