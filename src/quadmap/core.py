@@ -287,28 +287,33 @@ def _edge_headings(q: AngleTuple):
     return (h1, h2, h3, h4)
 
 
+def _det3(c0, c1, c2):
+    """Determinant of the 3x3 matrix with columns c0, c1, c2."""
+    return (c0[0] * (c1[1] * c2[2] - c1[2] * c2[1]) - c1[0] * (c0[1] * c2[2] - c0[2] * c2[1])
+            + c2[0] * (c0[1] * c1[2] - c0[2] * c1[1]))
+
+
 def balanced_edges_oracle(q: AngleTuple):
     """Independent check of the balanced construction via the closure system.
 
     Solves sum(x_i * u_i) = 0, sum(x_i) = 2*pi for its 1-dimensional affine
     solution set, clips to x_i >= 0, and returns the segment midpoint with
-    the feasible segment itself.
+    the feasible segment itself.  The null direction is the closure matrix's
+    unit vector of signed 3x3 cofactors; Cramer's rule, with the coordinate
+    of largest null component set to 0, gives a particular solution.
     """
-    import numpy as np
-    headings = _edge_headings(q)
-    m = np.array(
-        [
-            [math.cos(h) for h in headings],
-            [math.sin(h) for h in headings],
-            [1.0, 1.0, 1.0, 1.0],
-        ]
-    )
-    rhs = np.array([0.0, 0.0, TWO_PI])
-    u, sv, vt = np.linalg.svd(m)
-    if sv[2] < 1e-12 * sv[0]:
+    cols = [(math.cos(h), math.sin(h), 1.0) for h in _edge_headings(q)]
+    cof = [(-1) ** j * _det3(*cols[:j], *cols[j + 1:]) for j in range(4)]
+    # the cofactor norm is the product of the singular values; every closure
+    # matrix has Frobenius norm sqrt(8), so one absolute bound fits them all
+    norm = math.hypot(*cof)
+    if norm < 1e-12:
         raise QuadrangleError("closure system is rank-deficient")
-    particular, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    null = vt[3]
+    k = max(range(4), key=lambda j: abs(cof[j]))
+    rest = cols[:k] + cols[k + 1:]
+    x = [_det3(*rest[:i], (0.0, 0.0, TWO_PI), *rest[i + 1:]) / _det3(*rest) for i in range(3)]
+    particular = x[:k] + [0.0] + x[k:]
+    null = [c / norm for c in cof]
 
     t_lo, t_hi = -math.inf, math.inf
     for base_i, dir_i in zip(particular, null):
@@ -320,14 +325,8 @@ def balanced_edges_oracle(q: AngleTuple):
         raise QuadrangleError("feasible segment is empty or unbounded")
 
     t_mid = (t_lo + t_hi) / 2.0
-    mid = particular + t_mid * null
-    segment = FeasibleSegment(
-        base=EdgeTuple(*mid),
-        direction=tuple(null),
-        t_min=t_lo - t_mid,
-        t_max=t_hi - t_mid,
-    )
-    return EdgeTuple(*mid), segment
+    base = EdgeTuple(*(b + t_mid * d for b, d in zip(particular, null)))
+    return base, FeasibleSegment(base, tuple(null), t_lo - t_mid, t_hi - t_mid)
 
 
 def realize_polygon(q: AngleTuple, e: EdgeTuple) -> PlanarPolygon:

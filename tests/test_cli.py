@@ -270,6 +270,14 @@ class TestBasin:
         assert code == 2
         assert err.startswith("error:") and "seed" in err
 
+    @pytest.mark.parametrize("seed", [str(-2**32), str(-2**64 - 3)])
+    def test_wide_negative_seed_exit_2(self, capsys, seed):
+        # the generator splits a seed into 32-bit words; a shift loop that
+        # waits for 0 never ends on a negative int
+        code, err = run_bounded(capsys, 10, "basin", "--samples", "1", "--seed", seed)
+        assert code == 2
+        assert err == f"error: seed word {seed} must be a non-negative integer\n"
+
     def test_different_seeds_differ(self, capsys):
         _, out1 = run(capsys, "basin", "--samples", "5", "--seed", "1")
         _, out2 = run(capsys, "basin", "--samples", "5", "--seed", "2")
@@ -461,22 +469,25 @@ for argv in (["solve", "cycle"], ["stability", "--angles", square, "--order", "1
              ["stability", "--angles", angles, "--order", "2"]):
     assert quadmap.cli.main(argv + ["--out", out]) == 0, argv
 loaded.append("numpy" in sys.modules)
+for argv in (["basin", "--samples", "20", "--seed", "42"], ["verify"]):
+    assert quadmap.cli.main(argv + ["--out", out]) == 0, argv
+    loaded.append("numpy" in sys.modules)
 print(loaded)
 """
 
 
 def test_numpy_stays_out_of_the_cold_path(tmp_path):
-    # numpy's import is most of a fresh process's start-up; only the code
-    # that computes with it (sampling, the closure oracle) may load it
+    # numpy's import is most of a fresh process's start-up, and no command
+    # computes with it: sampling and the closure oracle run on plain floats
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", COLD_PATH, str(tmp_path / "out.txt")],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    # after the imports, after the five numpy-free commands, after solve
-    # cycle and stability
-    assert proc.stdout.strip() == "[False, False, False]"
+    # after the imports, after the five commands that never sampled, after
+    # solve cycle and stability, after basin, after verify
+    assert proc.stdout.strip() == "[False, False, False, False, False]"
 
 
 WITHOUT_NUMPY = """
@@ -497,6 +508,8 @@ SOLVER_ARGVS = [
     ["solve", "cycle", "--initial", "1.5,1.4,1.5"],
     ["stability", "--angles", SQUARE_ARG, "--order", "1"],
     ["stability", "--angles", "1.2,2.1,1.5,1.4831853071795865", "--order", "2"],
+    ["basin", "--samples", "20", "--seed", "42"],
+    ["verify", "--json"],
 ]
 
 
