@@ -3,6 +3,7 @@
 Exit codes: 0 ok, 1 verification failure, 2 usage/validation error,
 3 solver non-convergence.  All emitted numbers use 17 significant decimal
 digits, which round-trip doubles exactly; JSON carries them as strings.
+Each cmd_* returns its exit code and output text; main writes the text once.
 """
 
 from __future__ import annotations
@@ -63,33 +64,34 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _angles_json(q):
     # q is an AngleTuple or a ChartPoint; both name the four angles
     return {name: fmt(getattr(q, name)) for name in ("alpha", "beta", "gamma", "delta")}
 
 
-def cmd_step(args) -> int:
+def cmd_step(args) -> tuple[int, str]:
     q = _parse_angles(args.angles)
     out = step(q)
     if args.json:
-        _emit(json.dumps(_angles_json(out), indent=2) + "\n", args.out)
-    else:
-        _emit("alpha,beta,gamma,delta\n"
-              + ",".join(fmt(v) for v in out.as_tuple()) + "\n", args.out)
-    return EXIT_OK
+        return EXIT_OK, _json(_angles_json(out))
+    return EXIT_OK, ("alpha,beta,gamma,delta\n"
+                     + ",".join(fmt(v) for v in out.as_tuple()) + "\n")
 
 
-def cmd_iterate(args) -> int:
+def cmd_iterate(args) -> tuple[int, str]:
     q = _parse_angles(args.angles)
     traj = iterate(q, max_iter=args.max_iter, tol=args.tol)
     lines = ["iter,alpha,beta,gamma,delta"]
     for i, state in enumerate(traj.path):
         lines.append(f"{i}," + ",".join(fmt(v) for v in state))
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def cmd_cycle(args) -> int:
+def cmd_cycle(args) -> tuple[int, str]:
     q = _parse_angles(args.angles)
     traj = iterate(q, max_iter=args.max_iter, tol=args.tol)
     payload = {
@@ -104,11 +106,10 @@ def cmd_cycle(args) -> int:
             representatives=[_angles_json(s)
                              for s in traj.cycle.representative_states],
         )
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return EXIT_OK if traj.cycle else EXIT_NO_CONVERGENCE
+    return (EXIT_OK if traj.cycle else EXIT_NO_CONVERGENCE), _json(payload)
 
 
-def cmd_curve(args) -> int:
+def cmd_curve(args) -> tuple[int, str]:
     lo, hi, n = args.from_, args.to, args.samples
     if not (0.0 < lo < hi <= math.pi / 2) or n < 2:
         raise QuadrangleError("curve needs 0 < from < to <= pi/2 and samples >= 2")
@@ -116,11 +117,10 @@ def cmd_curve(args) -> int:
     for i in range(n):
         a = lo + (hi - lo) * i / (n - 1)
         lines.append(f"{fmt(a)},{fmt(c_map(a))}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def cmd_basin(args) -> int:
+def cmd_basin(args) -> tuple[int, str]:
     if args.samples < 1:
         raise QuadrangleError("basin needs samples >= 1")
     lines = ["sample_id,alpha0,beta0,gamma0,delta0,class,iters,residual,match_distance"]
@@ -141,11 +141,10 @@ def cmd_basin(args) -> int:
         ]))
     summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     lines.append(f"# summary: {summary}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, str]:
     if args.target == "trapezoid":
         if args.initial is not None:
             raise QuadrangleError("--initial applies to solve cycle only")
@@ -171,11 +170,10 @@ def cmd_solve(args) -> int:
             "iterations": result.iterations,
             "provenance": result.provenance,
         }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, _json(payload)
 
 
-def cmd_stability(args) -> int:
+def cmd_stability(args) -> tuple[int, str]:
     q = _parse_angles(args.angles)
     report = stability_report(q, map_order=args.order)
     payload = {
@@ -185,27 +183,25 @@ def cmd_stability(args) -> int:
         "eigenvalue_moduli": [fmt(v) for v in report.eigenvalue_moduli],
         "spectral_radius": fmt(report.spectral_radius),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, _json(payload)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     results = run_all()
+    code = EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
     if args.json:
         payload = [
             {"name": r.name, "passed": bool(r.passed), "detail": r.detail}
             for r in results
         ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = []
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(f"{status}  {r.name}: {r.detail}")
-        n_pass = sum(r.passed for r in results)
-        lines.append(f"{n_pass}/{len(results)} checks passed")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
+        return code, _json(payload)
+    lines = []
+    for r in results:
+        status = "PASS" if r.passed else "FAIL"
+        lines.append(f"{status}  {r.name}: {r.detail}")
+    n_pass = sum(r.passed for r in results)
+    lines.append(f"{n_pass}/{len(results)} checks passed")
+    return code, "\n".join(lines) + "\n"
 
 
 @functools.cache
@@ -224,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         if tol:
             p.add_argument("--tol", type=float, default=1e-12)
             p.add_argument("--max-iter", type=int, default=10000)
-        p.add_argument("--out", default=None, help="output file (default stdout)")
 
     p = sub.add_parser("step", help="apply the map once")
     common(p, tol=False)
@@ -243,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_", type=float, default=1.4)
     p.add_argument("--to", type=float, default=math.pi / 2)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("basin", help="random-seed convergence experiment as CSV")
@@ -258,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--initial", default=None,
                    help="alpha,gamma,delta starting point for the cycle system")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("stability", help="Jacobian spectrum at a state")
@@ -268,9 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="reproduce every published constant")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="output file (default stdout)")
     return parser
 
 
@@ -278,13 +272,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        _emit(text, args.out)
     except QuadrangleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    return code
 
 
 if __name__ == "__main__":

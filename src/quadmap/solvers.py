@@ -11,7 +11,7 @@ import math
 from dataclasses import astuple, dataclass
 from typing import Callable, Optional
 
-from .core import TWO_PI, AngleTuple, QuadrangleError, _triangle_edges, canonicalize
+from .core import TWO_PI, AngleTuple, QuadrangleError, _det3, _triangle_edges, canonicalize
 from .dynamics import c_map, step
 
 # central-difference step of every finite-difference derivative
@@ -108,8 +108,19 @@ def _inside(p: ChartPoint, h: float) -> bool:
 
 
 def c_map_slope(a: float) -> float:
-    """Central-difference slope c'(a) of the trapezoid submap."""
-    return (c_map(a + FD_STEP) - c_map(a - FD_STEP)) / (2.0 * FD_STEP)
+    """Slope c'(a) of the trapezoid submap, by the chain rule through theta(a).
+
+    c = pi / (1 + sin(theta) + cos(theta)) with theta = pi / (2 + 2*cos(a)).
+    The factor sin(theta) - cos(theta) cancels as a -> 0; it equals
+    sqrt(2) * sin(theta - pi/4), and theta - pi/4 = (pi/4) * tan(a/2)^2.
+    """
+    if not (0.0 < a <= math.pi / 2):   # a NaN fails here too
+        raise QuadrangleError("c_map_slope requires a in (0, pi/2]")
+    theta = math.pi / (2.0 + 2.0 * math.cos(a))
+    dtheta_da = 2.0 * math.pi * math.sin(a) / (2.0 + 2.0 * math.cos(a)) ** 2
+    sin_minus_cos = math.sqrt(2.0) * math.sin(math.pi / 4.0 * math.tan(a / 2.0) ** 2)
+    dc_dtheta = math.pi * sin_minus_cos / (1.0 + math.sin(theta) + math.cos(theta)) ** 2
+    return dc_dtheta * dtheta_da
 
 
 def solve_trapezoid_fixed_point(tol: float = 1e-13) -> TrapezoidFixedPoints:
@@ -140,20 +151,12 @@ def _cycle_residual(v):
 
 
 def _solve3(a, b):
-    """Solve a x = b by Gaussian elimination with partial pivoting, as LAPACK's getrf."""
-    rows = [[*row, v] for row, v in zip(a, b)]
-    for k in range(3):
-        piv = max(range(k, 3), key=lambda i: abs(rows[i][k]))
-        rows[k], rows[piv] = rows[piv], rows[k]
-        if rows[k][k] == 0.0:
-            raise SolverError("singular Newton Jacobian")
-        for row in rows[k + 1:]:
-            f = row[k] / rows[k][k]
-            row[k:] = [x - f * y for x, y in zip(row[k:], rows[k][k:])]
-    x = [0.0, 0.0, 0.0]
-    for i in (2, 1, 0):
-        x[i] = (rows[i][3] - sum(rows[i][j] * x[j] for j in range(i + 1, 3))) / rows[i][i]
-    return x
+    """Solve a x = b for a 3x3 matrix a (rows), by Cramer's rule on core._det3."""
+    cols = list(zip(*a))
+    det = _det3(*cols)
+    if det == 0.0:
+        raise SolverError("singular Newton Jacobian")
+    return [_det3(*cols[:i], b, *cols[i + 1:]) / det for i in range(3)]
 
 
 def solve_cycle_system(initial: Optional[ChartPoint] = None,
@@ -239,7 +242,7 @@ def eigenvalue_moduli_3x3(m) -> tuple:
         return (abs(t) * top,) * 3
     (a, b, c), (d, e, f), (g, h, k) = ([x / s for x in row] for row in shifted)
     p = a * e - b * d + a * k - c * g + e * k - f * h
-    q = -(a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g))
+    q = -_det3((a, d, g), (b, e, h), (c, f, k))
     disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
     if disc <= 0.0:   # three real roots
         m3 = max(-p / 3.0, 0.0)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib
@@ -208,11 +209,35 @@ def test_readme_iterate_csv_bytes_are_pinned(capsys, tmp_path):
 
 
 def test_readme_solve_cycle_bytes_are_pinned(capsys):
-    # the Newton step comes from the package's own 3x3 elimination; the
-    # solution and residual it prints are the ones LAPACK's solve gave
+    # the Newton step is Cramer's rule on core._det3; LAPACK's solve and a
+    # pivoted elimination, its earlier routes, printed the same bytes
     code, out = run(capsys, "solve", "cycle")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == README_SOLVE_CYCLE_SHA256
+
+
+# one small run of each subcommand; cycle stops short of its cycle, exit 3
+SUBCOMMANDS = sorted(next(a for a in quadmap.cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices)
+OUT_ARGVS = {
+    "step": ["step", "--angles", "1.2,2.1,1.5,1.4831853071795865", "--json"],
+    "iterate": ["iterate", "--angles", "1.2,2.1,1.5,1.4831853071795865"],
+    "cycle": ["cycle", "--angles", "1.2,2.1,1.5,1.4831853071795865", "--max-iter", "5"],
+    "curve": ["curve", "--samples", "5"],
+    "basin": ["basin", "--samples", "3"],
+    "solve": ["solve", "trapezoid"],
+    "stability": ["stability", "--angles", SQUARE_ARG],
+    "verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, name):
+    argv = OUT_ARGVS[name]   # a new subcommand needs a case here
+    code, out = run(capsys, *argv)
+    path = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(path)) == (code, "")
+    assert path.read_bytes() == out.encode()
 
 
 class TestBasin:

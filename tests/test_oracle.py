@@ -3,7 +3,8 @@
 Each constant is recomputed at 40 digits with mpmath from its defining
 formula, written out here rather than called through quadmap, and the
 double-precision value in `dynamics` must be its correctly rounded double:
-within half an ulp, so that a neighbouring double fails.
+within half an ulp, so that a neighbouring double fails.  The closed-form
+slope c'(a) is held to mpmath's derivative of the same c at 50 digits.
 """
 
 import math
@@ -12,6 +13,7 @@ import mpmath
 import pytest
 
 from quadmap.dynamics import A_STAR, C_AT_ZERO, GENERAL_CYCLE_ANGLES
+from quadmap.solvers import c_map_slope
 
 
 @pytest.fixture(autouse=True)
@@ -67,3 +69,14 @@ def test_limit_at_zero():
     # t -> pi/4 as a -> 0+, so c -> pi / (1 + sqrt 2)
     assert abs(c(mpmath.mpf(10) ** -12) - mpmath.pi / (1 + mpmath.sqrt(2))) < mpmath.mpf(10) ** -30
     assert_correctly_rounded(C_AT_ZERO, mpmath.pi / (mpmath.sqrt(2) + 1))
+
+
+def test_c_map_slope_matches_the_derivative_of_c(slope_grid):
+    # the slope is computed without cancellation, so its relative error
+    # stays within a few ulp down to a = 1e-8
+    worst = 0.0
+    with mpmath.workdps(50):
+        for a in [*slope_grid, A_STAR]:
+            exact = mpmath.diff(c, mpmath.mpf(a))
+            worst = max(worst, float(abs((c_map_slope(a) - exact) / exact)))
+    assert worst <= 2e-15

@@ -114,6 +114,21 @@ def test_c_map_slope_matches_closed_form(a):
     assert c_map_slope(a) == pytest.approx(dc_dt * dt_da, abs=1e-8)
 
 
+class TestCMapSlope:
+    def test_square_end_is_pi_squared_over_8(self):
+        # c'(pi/2) = (pi/4) * (pi/2); the exact slope at the double nearest
+        # pi/2 is itself 1.75 ulp below pi^2/8
+        assert abs(c_map_slope(PI / 2) - PI ** 2 / 8) <= 2 * math.ulp(PI ** 2 / 8)
+
+    def test_positive_on_a_log_grid(self, slope_grid):
+        assert all(c_map_slope(a) > 0.0 for a in slope_grid)
+
+    @pytest.mark.parametrize("a", [0.0, math.nan, PI / 2 + 1e-12])
+    def test_domain_guard(self, a):
+        with pytest.raises(QuadrangleError, match=r"c_map_slope requires a in \(0, pi/2\]"):
+            c_map_slope(a)
+
+
 class TestCycleSystem:
     def test_default_start_reaches_paper_values(self):
         r = solve_cycle_system(tol=1e-12)
@@ -389,6 +404,20 @@ class TestStabilityReport:
         # transverse pair: one strongly contracting, one mildly expanding
         assert eig[0] < 1e-4
         assert eig[2] > 1.0
+
+    def test_square_radius_from_the_submap_slope(self, monkeypatch):
+        # the square is the trapezoid state at a = pi/2, where f^2 has the
+        # in-family multiplier c'(pi/2) = pi^2/8, so rho(square, f) is its
+        # root pi/(2 sqrt 2); a 1% error in fd_jacobian must show
+        def gap():
+            rho = stability_report(SQUARE, 1).spectral_radius
+            return abs(rho - math.sqrt(c_map_slope(PI / 2)))
+
+        assert gap() <= 1e-6
+        exact = solvers.fd_jacobian
+        monkeypatch.setattr(solvers, "fd_jacobian", lambda *args: tuple(
+            tuple(1.01 * x for x in row) for row in exact(*args)))
+        assert gap() > 1e-6
 
     def test_square_jacobian_rotation_symmetry(self):
         # the map commutes with the rotation relabelings that fix the
