@@ -36,7 +36,6 @@ from .solvers import (
     ChartPoint,
     SolveResult,
     StabilityReport,
-    bisect,
     cycle_system_rhs,
     eigenvalue_moduli_3x3,
     fd_jacobian,

@@ -58,7 +58,7 @@ def check_trapezoid_fixed_point() -> CheckResult:
     err = abs(fp.attracting.solution - A_STAR)
     return CheckResult(
         "trapezoid fixed point a*",
-        err <= 4 * math.ulp(A_STAR),
+        err <= 2 * math.ulp(A_STAR),
         f"a* = {fp.attracting.solution!r}, |a* - paper| = {err:.3e}",
     )
 

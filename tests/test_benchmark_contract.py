@@ -11,6 +11,7 @@ import argparse
 import ast
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,14 @@ def test_generic_convergence_has_int_samples_default():
     default = inspect.signature(
         verify.check_generic_convergence).parameters["samples"].default
     assert type(default) is int
+
+
+def test_verify_checks_are_the_benchmark_metrics():
+    # a --trace run emits verify.<check>.s per entry of CHECKS, and the
+    # benchmark self-test fails on a metric BENCHMARK.json does not name
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    named = {m["name"] for m in spec["per_layer"] if m["name"].startswith("verify.")}
+    assert named == {f"verify.{check.__name__}.s" for check in verify.CHECKS}
 
 
 def test_solver_iterations_are_ints():

@@ -342,6 +342,13 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and flag in err
 
+    def test_trapezoid_huge_tol_stops_after_one_newton_step(self, capsys):
+        code, out = run(capsys, "solve", "trapezoid", "--tol", "1e300")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["iterations"] == 1
+        assert 1.4 < float(payload["a_star"]) < 1.5
+
     def test_trapezoid_rejects_initial(self, capsys):
         code, err = run_bounded(capsys, 10, "solve", "trapezoid", "--initial", "1,1,1")
         assert code == 2

@@ -168,6 +168,26 @@ class TestIterate:
         assert traj.cycle.period == 1
         assert traj.classification == "square_fixed"
 
+    def test_square_accepted_at_period_two(self):
+        # sample 0 of basin --margin 1.57079632679 starts within 4e-12 of the
+        # square, and the detector accepts twice its period first
+        q0 = sample_angle_tuple(substream(42, 0), margin=1.57079632679)
+        traj = iterate(q0, max_iter=10000, tol=1e-12)
+        assert traj.cycle.period == 2
+        assert traj.classification == "square_fixed"
+        assert traj.cycle.match_distance < 1e-11
+
+    @pytest.mark.parametrize("name, known", [
+        ("square_fixed", (SQUARE,)),
+        ("trapezoid_2cycle", trapezoid_cycle_pair()),
+        ("general_2cycle", general_cycle_pair()),
+    ])
+    def test_known_cycle_repeated_is_matched(self, name, known):
+        # four states hold the cycle whole; three hold a 2-cycle partly
+        assert _classify(known * (4 // len(known))) == (name, 0.0)
+        expected = name if len(known) == 1 else "other_cycle"
+        assert _classify((known * 3)[:3])[0] == expected
+
     def test_generic_seed(self):
         q0 = validate_angles(1.2, 2.1, 1.5, 2 * PI - 4.8)
         traj = iterate(q0, max_iter=10000, tol=1e-12)

@@ -12,7 +12,6 @@ from quadmap.solvers import (
     ChartPoint,
     SolverError,
     _solve3,
-    bisect,
     c_map_slope,
     cycle_system_rhs,
     eigenvalue_moduli_3x3,
@@ -41,53 +40,6 @@ def chart_map(order):
     return f
 
 
-class TestBisect:
-    def test_linear(self):
-        r = bisect(lambda x: x - 1.0, 0.0, 2.0, tol=1e-13)
-        assert r.solution == pytest.approx(1.0, abs=1e-12)
-
-    def test_trapezoid_root(self):
-        r = bisect(lambda a: c_map(a) - a, 1.4, 1.5, tol=1e-13)
-        assert abs(r.solution - A_STAR) < 1e-12
-
-    def test_no_sign_change(self):
-        with pytest.raises(SolverError, match="no sign change on"):
-            bisect(lambda a: c_map(a) - a, 0.1, 1.4)
-
-    def test_bad_bracket(self):
-        with pytest.raises(QuadrangleError, match="bisect requires lo < hi"):
-            bisect(lambda x: x, 2.0, 1.0)
-
-    @pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (0.0, 1.0)], ids=["lo", "hi"])
-    def test_exact_root_at_an_endpoint(self, lo, hi):
-        r = bisect(lambda x: x - 1.0, lo, hi)
-        assert (r.solution, r.residual_norm, r.iterations) == (1.0, 0.0, 0)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("end", [0.0, 2.0], ids=["lo", "hi"])
-    def test_non_finite_at_an_endpoint(self, end, value):
-        with pytest.raises(SolverError, match="function not finite at bracket endpoints"):
-            bisect(lambda x: value if x == end else x - 1.0, 0.0, 2.0)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_inside_the_bracket(self, value):
-        # a sign change between the ends, and no value at the first midpoint
-        with pytest.raises(SolverError, match=r"function not finite at 1\.0$"):
-            bisect(lambda x: value if x == 1.0 else x - 0.5, 0.0, 2.0)
-
-    @pytest.mark.parametrize("fn, lo, hi, root", [
-        (lambda x: x - 1.0, 0.0, 2.0, 1.0),
-        (lambda a: c_map(a) - a, 1.4, 1.5, A_STAR),
-    ], ids=["linear", "trapezoid"])
-    @pytest.mark.parametrize("tol", [1e-17, 0.0])
-    def test_tol_below_resolution_stops_at_adjacent_doubles(self, fn, lo, hi, root, tol):
-        # no bracket of doubles is narrower than the ulp spacing, so the
-        # search ends there, converged, well inside the iteration budget
-        r = bisect(fn, lo, hi, tol=tol)
-        assert r.iterations < 100
-        assert abs(r.solution - root) <= 4 * math.ulp(root)
-
-
 class TestTrapezoidFixedPoint:
     def test_matches_paper_digits(self):
         fp = solve_trapezoid_fixed_point(tol=1e-13)
@@ -103,6 +55,31 @@ class TestTrapezoidFixedPoint:
     def test_tol_guard(self):
         with pytest.raises(QuadrangleError, match="tol must be finite and at least 1e-14"):
             solve_trapezoid_fixed_point(tol=1e-16)
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-13, 1e-12, 1e-9])
+    def test_newton_lands_on_one_double_within_2_ulp(self, tol):
+        # every tol here ends on the same double, 2 ulp below A_STAR, where
+        # c(a) - a is exactly 0
+        r = solve_trapezoid_fixed_point(tol=tol).attracting
+        assert abs(r.solution - A_STAR) <= 2 * math.ulp(A_STAR)
+        assert r.solution == solve_trapezoid_fixed_point(tol=1e-14).attracting.solution
+        assert c_map(r.solution) - r.solution == 0.0
+        assert r.residual_norm == 0.0
+        assert type(r.iterations) is int and 1 <= r.iterations <= 6
+
+    def test_budget_exit(self, monkeypatch):
+        # slope 0 turns Newton into the plain iteration a <- c(a), which
+        # contracts only by c'(a*) ~ 0.8 per step
+        monkeypatch.setattr(solvers, "c_map_slope", lambda a: 0.0)
+        with pytest.raises(SolverError, match=(
+                f"above tol 1e-13 after {solvers.TRAPEZOID_MAX_ITER} iterations")):
+            solve_trapezoid_fixed_point(tol=1e-13)
+
+    @pytest.mark.parametrize("slope", [0.999, math.nan])
+    def test_bracket_exit(self, monkeypatch, slope):
+        monkeypatch.setattr(solvers, "c_map_slope", lambda a: slope)
+        with pytest.raises(SolverError, match=r"Newton step left the bracket \(1\.4, 1\.5\)"):
+            solve_trapezoid_fixed_point(tol=1e-13)
 
 
 @pytest.mark.parametrize("a", [0.3, 1.0, A_STAR, 1.5])
