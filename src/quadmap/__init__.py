@@ -35,6 +35,7 @@ from .dynamics import (
 from .solvers import (
     ChartPoint,
     SolveResult,
+    SolverError,
     StabilityReport,
     cycle_system_rhs,
     eigenvalue_moduli_3x3,

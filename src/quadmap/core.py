@@ -39,12 +39,22 @@ class AngleTuple:
         for name, v in zip("alpha beta gamma delta".split(), self.as_tuple()):
             if not (0.0 < v < math.pi):
                 raise QuadrangleError(f"{name} = {v} must lie strictly inside (0, pi)")
-        s = sum(self.as_tuple())
+        s = self.alpha + self.beta + self.gamma + self.delta
         if abs(s - TWO_PI) > SUM_TOL:
             raise QuadrangleError(f"angle sum {s} differs from 2*pi")
 
     def as_tuple(self):
         return (self.alpha, self.beta, self.gamma, self.delta)
+
+
+def _edge_error(x, degenerate):
+    """EdgeTuple's message for the edge 4-tuple x, or None; the float kernel raises it too."""
+    for i, v in enumerate(x, start=1):
+        if not (0.0 <= v < math.pi + _EDGE_SLACK if degenerate else 0.0 < v < math.pi):
+            return f"x{i} = {v} outside allowed edge range"
+    s = x[0] + x[1] + x[2] + x[3]
+    if abs(s - TWO_PI) > SUM_TOL:
+        return f"edge sum {s} differs from 2*pi"
 
 
 @dataclass(frozen=True)
@@ -62,14 +72,8 @@ class EdgeTuple:
     degenerate: bool = False
 
     def __post_init__(self):
-        hi = math.pi + _EDGE_SLACK if self.degenerate else math.pi
-        for i, v in enumerate(self.as_tuple(), start=1):
-            lo_ok = v >= 0.0 if self.degenerate else v > 0.0
-            if not (lo_ok and v < hi):
-                raise QuadrangleError(f"x{i} = {v} outside allowed edge range")
-        s = sum(self.as_tuple())
-        if abs(s - TWO_PI) > SUM_TOL:
-            raise QuadrangleError(f"edge sum {s} differs from 2*pi")
+        if reason := _edge_error(self.as_tuple(), self.degenerate):
+            raise QuadrangleError(reason)
 
     def as_tuple(self):
         return (self.x1, self.x2, self.x3, self.x4)
@@ -155,7 +159,7 @@ def reflect_labels_edges(e: EdgeTuple) -> EdgeTuple:
 def _canonical_shift(t):
     """First r in 0..3 whose shift (t[r], t[r+1], t[r+2], t[r+3]) of the float
     4-tuple t has delta + alpha and gamma + delta, tested in this order, at
-    most pi + _EDGE_SLACK.  The rule's one definition; canonicalize uses it.
+    most pi + _EDGE_SLACK.  The rule's one definition, for every caller.
     """
     q0, q1, q2, q3 = t
     hi = math.pi + _EDGE_SLACK
@@ -235,45 +239,41 @@ def prop1_fractions(phi, psi):
 def balanced_edges(q: AngleTuple) -> EdgeTuple:
     """Componentwise average of the two degenerate endpoint edge tuples.
 
-    Canonicalizes internally; the result is rotated back to the input
-    labeling, so the construction is rotation-equivariant.
+    Builds the endpoints in the canonical labeling and rotates the result
+    back to the input labeling, so the construction is rotation-equivariant.
     """
-    can = canonicalize(q)
-    a, _, g, d = can.rotated.as_tuple()
+    t = q.as_tuple()
+    r = _canonical_shift(t)
+    a, g, d = t[r], t[r - 2], t[r - 1]
     first = degenerate_edges_first(a, d).as_tuple()
     second = degenerate_edges_second(g, d).as_tuple()
     mid = tuple((u + v) / 2.0 for u, v in zip(first, second))
-    back = rotate_labels(mid, -can.rotation_offset)
-    return EdgeTuple(*back)
+    return EdgeTuple(*(mid[-r:] + mid[:-r]))
 
 
 def _balanced_edge_floats(q):
     """step(AngleTuple(*q)).as_tuple() on plain floats, for q a valid angle 4-tuple.
 
-    Same operations in the same order as balanced_edges, so bitwise equal;
-    endpoint and image checks raise QuadrangleError, as the validated types do.
-    Straight-line code, but _triangle_edges still builds both endpoints.
+    Same operations in the same order as balanced_edges, so bitwise equal.  A failed
+    check raises _edge_error's message on the tuple step builds, whose 0.0 leaves the
+    sum bitwise equal.  Straight-line code, but _triangle_edges builds both endpoints.
     """
     r = _canonical_shift(q)
     a, g, d = q[r], q[r - 2], q[r - 1]
     x4f, x2f, x1f = _triangle_edges(a, d)
     x1s, x3s, x4s = _triangle_edges(g, d)
     hi = math.pi + _EDGE_SLACK
-    if not (0.0 <= x1f < hi and 0.0 <= x2f < hi and 0.0 <= x4f < hi):
-        raise QuadrangleError(f"degenerate endpoint {(x1f, x2f, x4f)} outside edge range")
-    if abs(x1f + x2f + x4f - TWO_PI) > SUM_TOL:
-        raise QuadrangleError(f"degenerate endpoint {(x1f, x2f, x4f)} does not sum to 2*pi")
-    if not (0.0 <= x1s < hi and 0.0 <= x3s < hi and 0.0 <= x4s < hi):
-        raise QuadrangleError(f"degenerate endpoint {(x1s, x3s, x4s)} outside edge range")
-    if abs(x1s + x3s + x4s - TWO_PI) > SUM_TOL:
-        raise QuadrangleError(f"degenerate endpoint {(x1s, x3s, x4s)} does not sum to 2*pi")
+    if not (0.0 <= x1f < hi and 0.0 <= x2f < hi and 0.0 <= x4f < hi
+            and abs(x1f + x2f + x4f - TWO_PI) <= SUM_TOL):
+        raise QuadrangleError(_edge_error((x1f, x2f, 0.0, x4f), True))
+    if not (0.0 <= x1s < hi and 0.0 <= x3s < hi and 0.0 <= x4s < hi
+            and abs(x1s + x3s + x4s - TWO_PI) <= SUM_TOL):
+        raise QuadrangleError(_edge_error((x1s, 0.0, x3s, x4s), True))
     mid = ((x1f + x1s) / 2.0, (x2f + 0.0) / 2.0, (0.0 + x3s) / 2.0, (x4f + x4s) / 2.0)
     o1, o2, o3, o4 = out = mid[-r:] + mid[:-r]
-    if not (0.0 < o1 < math.pi and 0.0 < o2 < math.pi
-            and 0.0 < o3 < math.pi and 0.0 < o4 < math.pi):
-        raise QuadrangleError(f"image {out} must lie strictly inside (0, pi)")
-    if abs(o1 + o2 + o3 + o4 - TWO_PI) > SUM_TOL:
-        raise QuadrangleError(f"image {out} does not sum to 2*pi")
+    if not (0.0 < o1 < math.pi and 0.0 < o2 < math.pi and 0.0 < o3 < math.pi
+            and 0.0 < o4 < math.pi and abs(o1 + o2 + o3 + o4 - TWO_PI) <= SUM_TOL):
+        raise QuadrangleError(_edge_error(out, False))
     return out
 
 

@@ -216,7 +216,7 @@ def eigenvalue_moduli_3x3(m) -> tuple:
         raise SolverError("matrix has non-finite entries")
     top = math.ldexp(1.0, math.frexp(max(abs(float(x)) for row in m for x in row))[1] - 1)
     unit = [[float(x) / top for x in row] for row in m]
-    t = sum(unit[i][i] for i in range(3)) / 3.0
+    t = (unit[0][0] + unit[1][1] + unit[2][2]) / 3.0
     shifted = [[x - t * (i == j) for j, x in enumerate(r)] for i, r in enumerate(unit)]
     s = max(abs(x) for row in shifted for x in row)
     if s == 0.0:

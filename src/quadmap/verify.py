@@ -188,12 +188,11 @@ def check_property_suite() -> CheckResult:
     for _ in range(1000):
         q = sample_angle_tuple(rng)
         e = balanced_edges(q)
-        can = canonicalize(q)
-        e_can = balanced_edges(can.rotated)
+        e_can = balanced_edges(canonicalize(q).rotated)
         worst_half = max(worst_half, e_can.x2, e_can.x3)
         over_half_max = max(over_half_max,
                             sum(1 for x in e.as_tuple() if x > math.pi / 2))
-        worst_sum = max(worst_sum, abs(sum(e.as_tuple()) - core.TWO_PI))
+        worst_sum = max(worst_sum, abs(e.x1 + e.x2 + e.x3 + e.x4 - core.TWO_PI))
         k = rng.integers(4)
         rot = balanced_edges(AngleTuple(*rotate_labels(q, k)))
         worst_rot = max(worst_rot, relabel_distance(rot, e, (ROTATIONS[k],)))

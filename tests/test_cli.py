@@ -125,6 +125,18 @@ TOL_ARGVS = [
 ]
 
 
+def test_thin_trapezoid_is_rejected_with_one_message(capsys):
+    # a valid state whose endpoint edge passes pi + 1e-12; step's validated
+    # types and iterate's float kernel must give the same reason
+    angles = "0.0001,3.1414926535897933,3.1414926535897933,0.0001"
+    errs = set()
+    for argv in (["step"], ["iterate", "--max-iter", "5"], ["cycle"]):
+        code, err = run_bounded(capsys, 10, *argv, "--angles", angles)
+        assert code == 2
+        errs.add(err)
+    assert errs == {"error: x3 = 3.1415926535915304 outside allowed edge range\n"}
+
+
 @pytest.mark.parametrize("argv", TOL_ARGVS)
 def test_nan_tol_exit_2(capsys, argv):
     # d < nan never holds, so a NaN tolerance used to spend the whole budget;
@@ -184,6 +196,9 @@ BASIN_20_SEED_42_SHA256 = "d1c8b775ccaece577c9960d5899f0b21f25710fe69c92e84c960e
 BASIN_1000_SEED_42_SHA256 = "32f88f2652513cd703fe2f1222f16f82cc38c042b821b26aab77f72537cfe0a0"
 README_ITERATE_CSV_SHA256 = "61e77b0e6c5618c42e46bcd65d06b6b10418db993498ed44db9e96a766796f1e"
 README_SOLVE_CYCLE_SHA256 = "36134aad2a77a71b8d6b79761e382e23b4c3d85557f0e0a43516914cdde50946"
+# verify adds every float sum left to right, so its bytes are the same on
+# every supported Python (sum() rounds differently from 3.12 on)
+VERIFY_JSON_SHA256 = "17533f340d6b17983b46a18ffded4631cd5a4d8bcbeed2c1037264adea5bc818"
 
 
 def test_basin_stdout_bytes_are_pinned(capsys):
@@ -214,6 +229,12 @@ def test_readme_solve_cycle_bytes_are_pinned(capsys):
     code, out = run(capsys, "solve", "cycle")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == README_SOLVE_CYCLE_SHA256
+
+
+def test_verify_json_bytes_are_pinned(capsys):
+    code, out = run(capsys, "verify", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256
 
 
 # one small run of each subcommand; cycle stops short of its cycle, exit 3
@@ -484,6 +505,13 @@ def test_one_exception_class_per_error_exit_code(monkeypatch, capsys):
         assert main(["verify"]) == code
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"{prefix}: reason\n")
+
+
+def test_both_error_classes_are_package_exports():
+    # README's Errors section names both; each imports from quadmap itself
+    assert quadmap.QuadrangleError is core.QuadrangleError
+    assert quadmap.SolverError is quadmap.solvers.SolverError
+    assert {"QuadrangleError", "SolverError"} <= set(quadmap.__all__)
 
 
 COLD_PATH = """

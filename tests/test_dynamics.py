@@ -376,8 +376,8 @@ def test_states_are_built_on_first_access(monkeypatch):
     traj = iterate(q0)
     n, p = len(traj.path) - 1, traj.cycle.period
     assert n > 100 and p == 2
-    # the p states re-stepped, and two per public step of them
-    assert built["states"] == 3 * p
+    # the p states re-stepped, and the image of each public step of them
+    assert built["states"] == 2 * p
     built.clear()
     states = traj.states
     assert built["states"] == n + 1
@@ -429,8 +429,8 @@ def test_trajectory_states_are_frozen_angle_tuples():
 
 
 @pytest.mark.parametrize("edges, message", [
-    ((4.0, 1.0, TWO_PI - 5.0), "outside edge range"),
-    ((1.0, 1.0, 1.0), "does not sum to 2"),
+    ((4.0, 1.0, TWO_PI - 5.0), "x4 = 4.0 outside allowed edge range"),
+    ((1.0, 1.0, 1.0), "edge sum 3.0 differs from 2"),
 ], ids=["range", "sum"])
 def test_iterate_still_checks_every_kernel_state(monkeypatch, edges, message):
     # iterate's states skip AngleTuple's checks because the float kernel
@@ -456,8 +456,8 @@ def test_loop_builds_two_triangles_and_validates_nothing(monkeypatch):
     monkeypatch.setattr(core, "_triangle_edges", counting("triangle", core._triangle_edges))
     monkeypatch.setattr(AngleTuple, "__post_init__", counting("angles", AngleTuple.__post_init__))
     monkeypatch.setattr(EdgeTuple, "__post_init__", counting("edges", EdgeTuple.__post_init__))
-    step(q0)   # one public step: two triangles, two angle and three edge tuples
-    assert counts == {"triangle": 2, "angles": 2, "edges": 3}
+    step(q0)   # one public step: two triangles, one angle and three edge tuples
+    assert counts == {"triangle": 2, "angles": 1, "edges": 3}
     counts.clear()
     assert iterate(q0, max_iter=40).cycle is None   # no cycle, no re-step
     assert counts == {"triangle": 2 * 40}
@@ -467,7 +467,7 @@ def test_loop_builds_two_triangles_and_validates_nothing(monkeypatch):
     assert n > 100 and p == 2
     # two triangles per iteration, and p re-steps of the representatives
     # from the p states built at the boundary
-    assert counts == {"triangle": 2 * n + 2 * p, "angles": 3 * p, "edges": 3 * p}
+    assert counts == {"triangle": 2 * n + 2 * p, "angles": 2 * p, "edges": 3 * p}
 
 
 def test_sampled_components_are_plain_floats(rng):
