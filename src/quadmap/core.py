@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import sin
 
 TWO_PI = 2.0 * math.pi
 
@@ -20,6 +21,7 @@ SUM_TOL = 1e-9
 # pi, and an endpoint edge pi, by this much; the sine of such a pair sum is
 # then above -_EDGE_SLACK and _triangle_edges clamps it to 0
 _EDGE_SLACK = 1e-12
+_HI = math.pi + _EDGE_SLACK
 
 
 class QuadrangleError(ValueError):
@@ -50,7 +52,7 @@ class AngleTuple:
 def _edge_error(x, degenerate):
     """EdgeTuple's message for the edge 4-tuple x, or None; the float kernel raises it too."""
     for i, v in enumerate(x, start=1):
-        if not (0.0 <= v < math.pi + _EDGE_SLACK if degenerate else 0.0 < v < math.pi):
+        if not (0.0 <= v < _HI if degenerate else 0.0 < v < math.pi):
             return f"x{i} = {v} outside allowed edge range"
     s = x[0] + x[1] + x[2] + x[3]
     if abs(s - TWO_PI) > SUM_TOL:
@@ -162,14 +164,13 @@ def _canonical_shift(t):
     most pi + _EDGE_SLACK.  The rule's one definition, for every caller.
     """
     q0, q1, q2, q3 = t
-    hi = math.pi + _EDGE_SLACK
-    if q3 + q0 <= hi and q2 + q3 <= hi:
+    if q3 + q0 <= _HI and q2 + q3 <= _HI:
         return 0  # no rotation: (q0, q1, q2, q3)
-    if q0 + q1 <= hi and q3 + q0 <= hi:
+    if q0 + q1 <= _HI and q3 + q0 <= _HI:
         return 1  # (q1, q2, q3, q0)
-    if q1 + q2 <= hi and q0 + q1 <= hi:
+    if q1 + q2 <= _HI and q0 + q1 <= _HI:
         return 2  # (q2, q3, q0, q1)
-    if q2 + q3 <= hi and q1 + q2 <= hi:
+    if q2 + q3 <= _HI and q1 + q2 <= _HI:
         return 3  # (q3, q0, q1, q2)
     raise QuadrangleError("no canonical labeling found; input angles inconsistent")
 
@@ -191,9 +192,9 @@ def _triangle_edges(phi, psi):
     Returns (2*pi*sin(phi)/D, 2*pi*sin(psi)/D, 2*pi*sin(phi+psi)/D) with D
     the sine sum: the edges opposite phi, psi and the third angle.  No
     argument checks; the Newton trial points of the cycle solver need it
-    unvalidated.
+    unvalidated.  _balanced_edge_floats repeats it inline; both read core.sin.
     """
-    s_phi, s_psi, s_sum = math.sin(phi), math.sin(psi), math.sin(phi + psi)
+    s_phi, s_psi, s_sum = sin(phi), sin(psi), sin(phi + psi)
     # degenerate boundary cases make sin() of an angle sum ~pi come out
     # as a tiny negative number; clamped before the sum, the edges add to 2*pi
     if -_EDGE_SLACK < s_sum < 0.0:
@@ -210,7 +211,7 @@ def degenerate_edges_first(alpha, delta) -> EdgeTuple:
     """
     if not (0.0 < alpha < math.pi and 0.0 < delta < math.pi):
         raise QuadrangleError("alpha and delta must lie in (0, pi)")
-    if alpha + delta > math.pi + _EDGE_SLACK:
+    if alpha + delta > _HI:
         raise QuadrangleError("alpha + delta must not exceed pi")
     x4, x2, x1 = _triangle_edges(alpha, delta)
     return EdgeTuple(x1, x2, 0.0, x4, degenerate=True)
@@ -220,7 +221,7 @@ def degenerate_edges_second(gamma, delta) -> EdgeTuple:
     """Edges of the degenerate (triangle) endpoint with x2 = 0."""
     if not (0.0 < gamma < math.pi and 0.0 < delta < math.pi):
         raise QuadrangleError("gamma and delta must lie in (0, pi)")
-    if gamma + delta > math.pi + _EDGE_SLACK:
+    if gamma + delta > _HI:
         raise QuadrangleError("gamma + delta must not exceed pi")
     x1, x3, x4 = _triangle_edges(gamma, delta)
     return EdgeTuple(x1, 0.0, x3, x4, degenerate=True)
@@ -254,27 +255,44 @@ def balanced_edges(q: AngleTuple) -> EdgeTuple:
 def _balanced_edge_floats(q):
     """step(AngleTuple(*q)).as_tuple() on plain floats, for q a valid angle 4-tuple.
 
-    Same operations in the same order as balanced_edges, so bitwise equal.  A failed
-    check raises _edge_error's message on the tuple step builds, whose 0.0 leaves the
-    sum bitwise equal.  Straight-line code, but _triangle_edges builds both endpoints.
+    Same operations in the same order as balanced_edges, so bitwise equal.  One pass
+    with no helper call: both endpoint triangles are _triangle_edges inline, from five
+    sines (sin(d) serves both), and each is checked as soon as it is built, as step
+    checks it.  A failed check raises _edge_error's message on the tuple step builds,
+    whose 0.0 leaves the sum bitwise equal.
     """
     r = _canonical_shift(q)
     a, g, d = q[r], q[r - 2], q[r - 1]
-    x4f, x2f, x1f = _triangle_edges(a, d)
-    x1s, x3s, x4s = _triangle_edges(g, d)
-    hi = math.pi + _EDGE_SLACK
-    if not (0.0 <= x1f < hi and 0.0 <= x2f < hi and 0.0 <= x4f < hi
+    s_a, s_d, s_ad = sin(a), sin(d), sin(a + d)
+    if -_EDGE_SLACK < s_ad < 0.0:
+        s_ad = 0.0
+    den = s_a + s_d + s_ad
+    x4f, x2f, x1f = TWO_PI * s_a / den, TWO_PI * s_d / den, TWO_PI * s_ad / den
+    if not (0.0 <= x1f < _HI and 0.0 <= x2f < _HI and 0.0 <= x4f < _HI
             and abs(x1f + x2f + x4f - TWO_PI) <= SUM_TOL):
         raise QuadrangleError(_edge_error((x1f, x2f, 0.0, x4f), True))
-    if not (0.0 <= x1s < hi and 0.0 <= x3s < hi and 0.0 <= x4s < hi
+    s_g, s_gd = sin(g), sin(g + d)
+    if -_EDGE_SLACK < s_gd < 0.0:
+        s_gd = 0.0
+    den = s_g + s_d + s_gd
+    x1s, x3s, x4s = TWO_PI * s_g / den, TWO_PI * s_d / den, TWO_PI * s_gd / den
+    if not (0.0 <= x1s < _HI and 0.0 <= x3s < _HI and 0.0 <= x4s < _HI
             and abs(x1s + x3s + x4s - TWO_PI) <= SUM_TOL):
         raise QuadrangleError(_edge_error((x1s, 0.0, x3s, x4s), True))
-    mid = ((x1f + x1s) / 2.0, (x2f + 0.0) / 2.0, (0.0 + x3s) / 2.0, (x4f + x4s) / 2.0)
-    o1, o2, o3, o4 = out = mid[-r:] + mid[:-r]
+    # the midpoint, rotated back as balanced_edges' mid[-r:] + mid[:-r]
+    m1, m2, m3, m4 = (x1f + x1s) / 2.0, (x2f + 0.0) / 2.0, (0.0 + x3s) / 2.0, (x4f + x4s) / 2.0
+    if r == 0:
+        o1, o2, o3, o4 = m1, m2, m3, m4
+    elif r == 1:
+        o1, o2, o3, o4 = m4, m1, m2, m3
+    elif r == 2:
+        o1, o2, o3, o4 = m3, m4, m1, m2
+    else:
+        o1, o2, o3, o4 = m2, m3, m4, m1
     if not (0.0 < o1 < math.pi and 0.0 < o2 < math.pi and 0.0 < o3 < math.pi
             and 0.0 < o4 < math.pi and abs(o1 + o2 + o3 + o4 - TWO_PI) <= SUM_TOL):
-        raise QuadrangleError(_edge_error(out, False))
-    return out
+        raise QuadrangleError(_edge_error((o1, o2, o3, o4), False))
+    return o1, o2, o3, o4
 
 
 def _edge_headings(q: AngleTuple):

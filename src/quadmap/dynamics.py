@@ -196,10 +196,11 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
     more is rejected without the rotation scan.  A sorted window of the
     last P_MAX peaks decides first whether any period can pass that test:
     if no window entry lies in [peak - tol, peak + tol], rounded, every
-    streak is reset and the per-period loop is skipped.  This hides no
-    pair: rounding is monotone, so abs(peak - w) < tol in floats implies
-    peak - tol < w < peak + tol exactly, and the float w then lies between
-    the two rounded bounds.
+    streak is reset (a new list only when that loop ran since the last
+    reset, so a streak may be live) and the per-period loop is skipped.
+    This hides no pair: rounding is monotone, so abs(peak - w) < tol in
+    floats implies peak - tol < w < peak + tol exactly, and the float w
+    then lies between the two rounded bounds.
 
     The loop validates nothing: the kernel applies AngleTuple's range and
     sum checks to each float state, and the rotation scan is
@@ -213,19 +214,24 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
         raise QuadrangleError("max_iter must be >= 1")
     if not 0.0 < tol < math.inf:   # a NaN tol fails here too
         raise QuadrangleError("tol must be positive and finite")
-    path = [q0.as_tuple()]
-    peaks = [max(path[0])]
+    q = q0.as_tuple()
+    path = [q]
+    peaks = [max(q)]
     window = peaks[:]   # the last P_MAX peaks, sorted
     streak = [0] * (P_MAX + 1)
+    live = False        # the per-period loop has run since the last reset
     for n in range(1, max_iter + 1):
-        q = _balanced_edge_floats(path[-1])
+        q = _balanced_edge_floats(q)
         peak = max(q)
         path.append(q)
         peaks.append(peak)
         i = bisect_left(window, peak - tol)
         if i == len(window) or window[i] > peak + tol:
-            streak = [0] * (P_MAX + 1)
+            if live:
+                streak = [0] * (P_MAX + 1)
+                live = False
         else:
+            live = True
             for p in range(1, min(P_MAX, n) + 1):
                 if abs(peak - peaks[n - p]) < tol and rotation_distance(q, path[n - p]) < tol:
                     streak[p] += 1

@@ -237,6 +237,17 @@ def test_verify_json_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256
 
 
+def test_readme_library_example_runs(capsys):
+    # the python block under README's "## Library", which CI also runs on the
+    # runtime-only install; its comments state the first two lines it prints
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text[text.index("\n## Library\n"):].split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert lines[:2] == ["general_2cycle", "332"]
+
+
 # one small run of each subcommand; cycle stops short of its cycle, exit 3
 SUBCOMMANDS = sorted(next(a for a in quadmap.cli.build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction)).choices)

@@ -235,6 +235,12 @@ def _partner(x, target):
     return y
 
 
+# with the other two sines of a triangle 0.5, a third sine s of this value
+# gives the edge opposite it, 2*pi*s/(s + 1) with the sines added in either
+# order the kernel adds them, exactly pi + _EDGE_SLACK
+_AT_BOUND = 1.0000000000006368
+
+
 class TestBalancedEdgeFloats:
     """The float kernel behind iterate against the validated public step."""
 
@@ -305,118 +311,108 @@ class TestBalancedEdgeFloats:
         with pytest.raises(QuadrangleError, match="no canonical labeling"):
             core._balanced_edge_floats((3.0, 3.0, 3.0, 3.0))
 
-    @pytest.mark.parametrize("triangle, step_reason, kernel_reason", [
-        # endpoint edges -0.1 and 2*pi - 2.9 outside [0, pi]
-        ((-0.1, 3.0, TWO_PI - 2.9), "x1 = .* outside allowed edge range",
-         "x1 = .* outside allowed edge range"),
-        # endpoint sum off 2*pi
-        ((1.0, 1.0, 1.0), "edge sum 3.0 differs from 2",
-         "edge sum 3.0 differs from 2"),
-        # image edges 0 and pi
-        ((PI, 0.0, PI), "x1 = .* outside allowed edge range",
-         "x1 = .* outside allowed edge range"),
-    ], ids=["endpoint_range", "endpoint_sum", "image_range"])
-    def test_endpoint_and_image_checks_match_step(self, monkeypatch, triangle,
-                                                  step_reason, kernel_reason):
-        # a corrupted triangle kernel feeds both paths the same endpoints;
-        # the float kernel must reject them for the reason step's validated
-        # types do, in step's wording
-        monkeypatch.setattr(core, "_triangle_edges", lambda phi, psi: triangle)
-        q = validate_angles(*SQUARE)
-        with pytest.raises(QuadrangleError, match=step_reason):
-            step(q)
-        with pytest.raises(QuadrangleError, match=kernel_reason):
-            core._balanced_edge_floats(q.as_tuple())
+    @pytest.mark.parametrize("sines, sum_tol, reason", [
+        # sin(a + d) negated past the clamp: the x3 = 0 endpoint's x1 < 0
+        ({"a+d": -0.5}, core.SUM_TOL, "x1 = -2.5117300887753355 outside allowed edge range"),
+        # the x3 = 0 endpoint's x1 lands on its excluded bound pi + _EDGE_SLACK
+        ({"a": 0.5, "d": 0.5, "a+d": _AT_BOUND}, core.SUM_TOL,
+         "x1 = 3.141592653590793 outside allowed edge range"),
+        # a negative tolerance fails every sum, the x3 = 0 endpoint's first
+        ({}, -1.0, "edge sum 6.283185307179586 differs from 2"),
+        # valid endpoints (pi, pi/2, 0, pi/2) and (pi, 0, pi/2, pi/2), both
+        # exact, average to an image whose x1 is pi; rotated back, it is x2
+        ({"a": 0.25, "d": 0.25, "a+d": 0.5, "g": 0.5, "g+d": 0.25}, core.SUM_TOL,
+         "x2 = 3.141592653589793 outside allowed edge range"),
+    ], ids=["endpoint_range", "endpoint_bound", "endpoint_sum", "image_range"])
+    def test_endpoint_and_image_checks_match_step(self, monkeypatch, sines, sum_tol, reason):
+        # a corrupted sine table feeds both paths the same endpoints; the
+        # float kernel must reject them where step's validated types do,
+        # with step's message
+        _assert_one_rejection(monkeypatch, sines, sum_tol, reason)
 
-    @pytest.mark.parametrize("triangle, step_reason, kernel_reason", [
-        ((-0.1, 3.0, TWO_PI - 2.9), "x1 = -0.1 outside allowed edge range",
-         "x1 = -0.1 outside allowed edge range"),
-        ((1.0, 1.0, 1.0), "edge sum 3.0 differs from 2",
-         "edge sum 3.0 differs from 2"),
-    ], ids=["endpoint_range", "endpoint_sum"])
-    def test_second_endpoint_checks_match_step(self, monkeypatch, triangle,
-                                               step_reason, kernel_reason):
-        # both paths build the x3 = 0 endpoint first; corrupting only the
-        # second triangle call leaves it valid, so the x2 = 0 endpoint's own
-        # checks must reject the corrupted edges
-        original = core._triangle_edges
-
-        def second_call_corrupted():
-            calls = []
-
-            def fake(phi, psi):
-                calls.append((phi, psi))
-                return triangle if len(calls) == 2 else original(phi, psi)
-            return fake
-
-        q = validate_angles(*SQUARE)
-        monkeypatch.setattr(core, "_triangle_edges", second_call_corrupted())
-        with pytest.raises(QuadrangleError, match=step_reason):
-            step(q)
-        monkeypatch.setattr(core, "_triangle_edges", second_call_corrupted())
-        with pytest.raises(QuadrangleError, match=kernel_reason):
-            core._balanced_edge_floats(q.as_tuple())
+    @pytest.mark.parametrize("sines, sum_tol, reason", [
+        ({"g": -0.5}, core.SUM_TOL, "x1 = -4.007177299364631 outside allowed edge range"),
+        ({"a": 0.5, "d": 0.5, "a+d": 0.5, "g": _AT_BOUND, "g+d": 0.5}, core.SUM_TOL,
+         "x1 = 3.141592653590793 outside allowed edge range"),
+        # the x3 = 0 endpoint sums to 2*pi exactly, the x2 = 0 one 1 ulp below
+        ({}, 0.0, "edge sum 6.283185307179585 differs from 2"),
+    ], ids=["endpoint_range", "endpoint_bound", "endpoint_sum"])
+    def test_second_endpoint_checks_match_step(self, monkeypatch, sines, sum_tol, reason):
+        # both paths build and check the x3 = 0 endpoint first; corrupting
+        # only what the x2 = 0 endpoint reads leaves the first valid, so the
+        # second endpoint's own checks must reject the corrupted edges
+        _assert_one_rejection(monkeypatch, sines, sum_tol, reason)
 
 
-# edge values a triangle may come out with: inside the range, outside it,
-# NaN, and the degenerate bound pi + _EDGE_SLACK with its two neighbours
-_HI = PI + core._EDGE_SLACK
-_EDGES = st.one_of(
-    st.floats(0.0, PI),
-    st.floats(-1.0, 5.0),
-    st.sampled_from([0.0, PI, math.nextafter(_HI, 0.0), _HI, math.nextafter(_HI, math.inf),
-                     math.nan]),
+# a state with canonical shift 1, so a, g, d = q[1], q[3], q[0], whose five
+# sine arguments are distinct doubles
+_T = AngleTuple(1.0, 2.0, 1.6, TWO_PI - 4.6)
+_SINE_ARGS = {"a": _T.beta, "d": _T.alpha, "a+d": _T.beta + _T.alpha,
+              "g": _T.delta, "g+d": _T.delta + _T.alpha}
+
+
+def _assert_one_rejection(monkeypatch, sines, sum_tol, reason):
+    """step(_T) and the float kernel, with core.sin giving the values sines
+    names (the real sine elsewhere) and core.SUM_TOL set to sum_tol, raise
+    one message, and it matches reason."""
+    assert core._canonical_shift(_T.as_tuple()) == 1
+    table = {_SINE_ARGS[name]: v for name, v in sines.items()}
+    monkeypatch.setattr(core, "sin", lambda x: table.get(x, math.sin(x)))
+    monkeypatch.setattr(core, "SUM_TOL", sum_tol)
+    with pytest.raises(QuadrangleError, match=reason) as by_step:
+        step(_T)
+    with pytest.raises(QuadrangleError) as by_kernel:
+        core._balanced_edge_floats(_T.as_tuple())
+    assert str(by_kernel.value) == str(by_step.value)
+
+
+# what a sine table gives for sin(x): the real sine times a factor (1,
+# scaled, negated, 0, NaN or inf), plus an offset of 0 or one that lands a
+# near-zero sine inside or past the clamp below 0
+_SINE_ENTRIES = st.tuples(
+    st.one_of(st.sampled_from([1.0, -1.0, 0.0, math.nan, math.inf, -math.inf]),
+              st.floats(-3.0, 3.0)),
+    st.sampled_from([0.0, 0.0, 0.0, -0.5 * core._EDGE_SLACK, -2.0 * core._EDGE_SLACK]),
 )
 
 
-@st.composite
-def _triangles(draw):
-    """Three edges in any order: x, then y drawn alike or with x + y in
-    [pi, pi + x], and z closing the sum to 2*pi, missing it by up to
-    1.5 * SUM_TOL, or drawn alike."""
-    x = draw(_EDGES)
-    y = draw(st.one_of(_EDGES, st.floats(0.0, 1.0).map(lambda u: PI - x + u * x)))
-    off = draw(st.sampled_from([0.0, 5e-10, -5e-10, 1.5e-9, -1.5e-9]))
-    z = draw(st.one_of(st.just(TWO_PI - x - y), st.just(TWO_PI - x - y + off), _EDGES))
-    return tuple(draw(st.permutations((x, y, z))))
-
-
-# a valid endpoint with a zero edge: its image edge is 0, or pi where the
-# other endpoint's edge is pi too
-_DEGENERATE = st.permutations((PI, 0.0, PI)).map(tuple)
-
-
 # valid states whose canonical shifts cover 0..3, and a thin trapezoid that
-# both paths reject with the real triangles
+# both paths reject with the real sines
 _STATES = [AngleTuple(*rotate_labels(t, k)) for k in range(4) for t in (
     (1.2, 2.1, 1.5, 1.4831853071795865), SQUARE,
     (0.0001, 3.1414926535897933, 3.1414926535897933, 0.0001))]
 
 
 @settings(max_examples=1000, deadline=None)
-@given(q=st.sampled_from(_STATES),
-       injected=st.lists(st.one_of(st.none(), _triangles(), _DEGENERATE), min_size=2, max_size=2))
-def test_step_and_kernel_give_one_answer(q, injected):
-    # the two _triangle_edges calls, x3 = 0 endpoint first in both paths,
-    # return the drawn triples, or the real triangle where None is drawn;
-    # step and the float kernel must return bitwise-equal images or raise
-    # the same message
-    original = core._triangle_edges
+@given(q=st.sampled_from(_STATES), entries=st.lists(_SINE_ENTRIES, min_size=5, max_size=5),
+       sum_tol=st.sampled_from([core.SUM_TOL, 0.0]))
+def test_step_and_kernel_give_one_answer(q, entries, sum_tol):
+    # core.sin reads a table: the k-th distinct argument either path asks
+    # for gets the k-th drawn entry, and both paths read the same table, so
+    # they take the same sines (at most five distinct arguments); a zero
+    # SUM_TOL reaches the sum checks, which sines alone cannot, since each
+    # endpoint is normalised by its own sine sum.  step and the float kernel
+    # must return bitwise-equal images or raise the same message
+    table = {}
+
+    def sine(x):
+        if x not in table:
+            factor, offset = entries[len(table)]
+            table[x] = factor * math.sin(x) + offset
+        return table[x]
 
     def outcome(fn, arg):
-        calls = iter(injected)
+        try:
+            return [v.hex() for v in fn(arg)]
+        except (QuadrangleError, ZeroDivisionError) as exc:   # a zero sine sum
+            return f"{type(exc).__name__}: {exc}"
 
-        def triangle(phi, psi):
-            t = next(calls)
-            return original(phi, psi) if t is None else t
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_triangle_edges", triangle)
-            result = _outcome(fn, arg)
-        return result if isinstance(result, str) else [v.hex() for v in result]
-
-    assert outcome(lambda s: step(s).as_tuple(), q) == outcome(core._balanced_edge_floats,
-                                                               q.as_tuple())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "sin", sine)
+        mp.setattr(core, "SUM_TOL", sum_tol)
+        by_step = outcome(lambda s: step(s).as_tuple(), q)
+        by_kernel = outcome(core._balanced_edge_floats, q.as_tuple())
+    assert by_kernel == by_step
 
 
 class TestOracle:

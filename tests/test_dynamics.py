@@ -428,22 +428,28 @@ def test_trajectory_states_are_frozen_angle_tuples():
             s.alpha = 1.0
 
 
-@pytest.mark.parametrize("edges, message", [
-    ((4.0, 1.0, TWO_PI - 5.0), "x4 = 4.0 outside allowed edge range"),
-    ((1.0, 1.0, 1.0), "edge sum 3.0 differs from 2"),
+@pytest.mark.parametrize("sines, sum_tol, message", [
+    # sin(a + d) = sin(pi) negated past the clamp: the square's first endpoint has x1 < 0
+    ({math.pi: -0.5}, core.SUM_TOL, "x1 = -2.0943951023931953 outside allowed edge range"),
+    # a negative tolerance fails every sum check
+    ({}, -1.0, "edge sum .* differs from 2"),
 ], ids=["range", "sum"])
-def test_iterate_still_checks_every_kernel_state(monkeypatch, edges, message):
+def test_iterate_still_checks_every_kernel_state(monkeypatch, sines, sum_tol, message):
     # iterate's states skip AngleTuple's checks because the float kernel
-    # applies them; a kernel producing a bad edge must still raise
-    monkeypatch.setattr(core, "_triangle_edges", lambda phi, psi: edges)
+    # applies them; a kernel producing a bad edge must still raise.  Two
+    # iterations cannot accept a cycle, so no re-step through step runs and
+    # only the loop's kernel can raise
+    monkeypatch.setattr(core, "sin", lambda x: sines.get(x, math.sin(x)))
+    monkeypatch.setattr(core, "SUM_TOL", sum_tol)
     with pytest.raises(QuadrangleError, match=message):
-        iterate(SQUARE, max_iter=5)
+        iterate(SQUARE, max_iter=2)
 
 
-def test_loop_builds_two_triangles_and_validates_nothing(monkeypatch):
-    # a structure guard for iterate's hot path: each iteration calls the
-    # triangle formula twice and constructs no validated type; only the
-    # re-step of the cycle representatives, a fixed cost, validates
+def test_loop_takes_five_sines_and_validates_nothing(monkeypatch):
+    # a structure guard for iterate's hot path: each iteration takes five
+    # sines, sin(d) once for both endpoint triangles, and constructs no
+    # validated type; only the re-step of the cycle representatives, a fixed
+    # cost, validates
     counts = Counter()
 
     def counting(name, fn):
@@ -453,21 +459,21 @@ def test_loop_builds_two_triangles_and_validates_nothing(monkeypatch):
         return wrapper
 
     q0 = validate_angles(1.2, 2.1, 1.5, 1.4831853071795865)
-    monkeypatch.setattr(core, "_triangle_edges", counting("triangle", core._triangle_edges))
+    monkeypatch.setattr(core, "sin", counting("sin", math.sin))
     monkeypatch.setattr(AngleTuple, "__post_init__", counting("angles", AngleTuple.__post_init__))
     monkeypatch.setattr(EdgeTuple, "__post_init__", counting("edges", EdgeTuple.__post_init__))
-    step(q0)   # one public step: two triangles, one angle and three edge tuples
-    assert counts == {"triangle": 2, "angles": 1, "edges": 3}
+    step(q0)   # one public step: six sines, one angle and three edge tuples
+    assert counts == {"sin": 6, "angles": 1, "edges": 3}
     counts.clear()
     assert iterate(q0, max_iter=40).cycle is None   # no cycle, no re-step
-    assert counts == {"triangle": 2 * 40}
+    assert counts == {"sin": 5 * 40}
     counts.clear()
     traj = iterate(q0)
     n, p = len(traj.path) - 1, traj.cycle.period
     assert n > 100 and p == 2
-    # two triangles per iteration, and p re-steps of the representatives
-    # from the p states built at the boundary
-    assert counts == {"triangle": 2 * n + 2 * p, "angles": 2 * p, "edges": 3 * p}
+    # five sines per iteration, and p re-steps of the representatives from
+    # the p states built at the boundary
+    assert counts == {"sin": 5 * n + 6 * p, "angles": 2 * p, "edges": 3 * p}
 
 
 def test_sampled_components_are_plain_floats(rng):
