@@ -2,15 +2,15 @@
 
 The map sends a quadrangle with angles q to the quadrangle whose angles
 numerically equal the balanced edge lengths of q.  Generic orbits converge
-to an attracting 2-cycle; the square is a repelling fixed point, and
-isosceles-trapezoid-type quadrangles form an invariant family with its own
-attracting 2-cycle.
+to an attracting 2-cycle; the square is a fixed point that repels generic
+starts but attracts the parallelogram line, which reaches it in one step;
+isosceles trapezoids form an invariant family with an attracting 2-cycle.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -193,14 +193,18 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
     The largest angle is unchanged by relabeling and 1-Lipschitz in the
     sup norm, so |max p - max q| <= rotation_distance(p, q), in floats too
     (rounded subtraction is monotone); a pair whose peaks differ by tol or
-    more is rejected without the rotation scan.  A sorted window of the
-    last P_MAX peaks decides first whether any period can pass that test:
-    if no window entry lies in [peak - tol, peak + tol], rounded, every
-    streak is reset (a new list only when that loop ran since the last
-    reset, so a streak may be live) and the per-period loop is skipped.
-    This hides no pair: rounding is monotone, so abs(peak - w) < tol in
-    floats implies peak - tol < w < peak + tol exactly, and the float w
-    then lies between the two rounded bounds.
+    more is rejected without the rotation scan.  An accepted streak of
+    CONFIRMATIONS consecutive n covers a test point, a multiple of
+    CONFIRMATIONS, so while no streak is live the loop only records states
+    between test points.  At a test point, the sorted last P_MAX peaks
+    show whether any period can pass the peak test: if none lies in
+    [peak - tol, peak + tol], rounded, every streak is 0; otherwise the
+    per-period loop replays each n since the last settled one, whose
+    streaks were all 0, so it can accept only at the test point, and then
+    runs at each n while a streak is live.  The window hides no pair:
+    rounding is monotone, so abs(peak - w) < tol in floats implies
+    peak - tol < w < peak + tol exactly, and the float w lies between the
+    two rounded bounds.
 
     The loop validates nothing: the kernel applies AngleTuple's range and
     sum checks to each float state, and the rotation scan is
@@ -217,37 +221,43 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
     q = q0.as_tuple()
     path = [q]
     peaks = [max(q)]
-    window = peaks[:]   # the last P_MAX peaks, sorted
     streak = [0] * (P_MAX + 1)
-    live = False        # the per-period loop has run since the last reset
+    live = False   # some streak is nonzero
+    done = 0       # the last iteration settled; streak holds its streaks
     for n in range(1, max_iter + 1):
         q = _balanced_edge_floats(q)
-        peak = max(q)
+        a, b, c, d = q
+        ab = a if a > b else b
+        cd = c if c > d else d
+        peak = ab if ab > cd else cd
         path.append(q)
         peaks.append(peak)
-        i = bisect_left(window, peak - tol)
-        if i == len(window) or window[i] > peak + tol:
-            if live:
-                streak = [0] * (P_MAX + 1)
-                live = False
-        else:
-            live = True
-            for p in range(1, min(P_MAX, n) + 1):
-                if abs(peak - peaks[n - p]) < tol and rotation_distance(q, path[n - p]) < tol:
+        if not live:
+            if n % CONFIRMATIONS:
+                continue
+            window = sorted(peaks[-1 - P_MAX:-1])
+            i = bisect_left(window, peak - tol)
+            if i == len(window) or window[i] > peak + tol:
+                done = n   # no period can pass the peak test: every streak is 0
+                continue
+        for m in range(done + 1, n + 1):
+            live = False
+            for p in range(1, min(P_MAX, m) + 1):
+                if (abs(peaks[m] - peaks[m - p]) < tol
+                        and rotation_distance(path[m], path[m - p]) < tol):
                     streak[p] += 1
+                    live = True
                     if streak[p] >= CONFIRMATIONS:
                         return _trajectory(path, p)
                 else:
                     streak[p] = 0
-        insort(window, peak)
-        if n >= P_MAX:
-            window.remove(peaks[n - P_MAX])
+        done = n
     return _trajectory(path, None)
 
 
 def _trajectory(path, period):
-    # iterate's API boundary: the public step re-steps the period states
-    # before the last, checking the float kernel against it
+    # iterate's API boundary: the public step re-steps the period states before
+    # the last; a hypothesis property, not this, holds it bitwise equal to the kernel
     path = tuple(path)
     if period is None:
         return Trajectory(path, None)

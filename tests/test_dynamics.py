@@ -3,6 +3,7 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quadmap.core as core
 from quadmap.core import (
@@ -250,9 +251,13 @@ def reference_iterate(q0, max_iter=10000, tol=1e-12):
     return Trajectory(tuple(s.as_tuple() for s in states), None)
 
 
+def _sample_starts():
+    return [sample_angle_tuple(substream(2024, i), margin=(0.05, 1e-3, 0.0)[i % 3])
+            for i in range(12)]
+
+
 def _reference_cases():
-    starts = [sample_angle_tuple(substream(2024, i), margin=(0.05, 1e-3, 0.0)[i % 3])
-              for i in range(12)]
+    starts = _sample_starts()
     cases = [pytest.param(q0, {}, id=f"sample{i}") for i, q0 in enumerate(starts)]
     cases += [pytest.param(q0, {"max_iter": 120}, id=f"sample{i}-cut120")
               for i, q0 in enumerate(starts[:4])]
@@ -263,7 +268,38 @@ def _reference_cases():
     cases += [pytest.param(SQUARE, {}, id="square"),
               pytest.param(validate_angles(1.2, 2.1, 1.5, 2 * PI - 4.8),
                            {"max_iter": 50}, id="generic-cut50")]
-    return cases + _coarse_cases() + _extreme_cases()
+    return cases + _parallelogram_cases() + _cut_cases() + _coarse_cases() + _extreme_cases()
+
+
+def parallelogram(alpha):
+    return validate_angles(alpha, PI - alpha, alpha, PI - alpha)
+
+
+PARALLELOGRAM_ALPHAS = (0.05, 0.7, 2.0, PI - 0.05)
+
+
+def _parallelogram_cases():
+    # the square is accepted at n = 4, the earliest after one step onto it,
+    # by a streak that starts at n = 2, one iteration before the first test
+    # point; the square itself is accepted at n = 3
+    return [pytest.param(parallelogram(a), {}, id=f"parallelogram{a:.3f}")
+            for a in PARALLELOGRAM_ALPHAS]
+
+
+def _cut_cases():
+    # budgets that end one and two iterations before an orbit's acceptance,
+    # with the streak live; the accepting n of these orbits covers every
+    # residue mod CONFIRMATIONS, so the budgets end at and between test points
+    starts = [(f"sample{i}", q0) for i, q0 in enumerate(_sample_starts()[:2])]
+    starts += [("trapezoid0.300", trapezoid_angles(0.3)),
+               (f"parallelogram{PARALLELOGRAM_ALPHAS[1]:.3f}",
+                parallelogram(PARALLELOGRAM_ALPHAS[1]))]
+    cases = []
+    for name, q0 in starts:
+        accepted = len(reference_iterate(q0).path) - 1
+        cases += [pytest.param(q0, {"max_iter": accepted - k}, id=f"{name}-cut{accepted - k}")
+                  for k in (1, 2)]
+    return cases
 
 
 COARSE_TOLS = (1e-6, 1e-3, 0.1)
@@ -337,30 +373,89 @@ def test_peak_difference_bounds_rotation_distance(rng, tol):
         assert rotation_distance(p.as_tuple(), q.as_tuple()) == d
 
 
-@pytest.mark.parametrize("q0, kwargs", _reference_cases())
-def test_peak_window_hides_no_pair(monkeypatch, q0, kwargs):
-    # every pair whose peaks differ by less than tol reaches the rotation
-    # scan, in loop order, up to the accepting one: the sorted peak window
-    # only skips iterations at which no period could pass the peak test;
-    # a converged orbit's residual then measures the accepting pair again
-    scanned = []
+def _peak_close(path, n, tol):
+    # the periods whose pair at n passes the peak test, in loop order
+    return [p for p in range(1, min(P_MAX, n) + 1) if abs(max(path[n]) - max(path[n - p])) < tol]
+
+
+def _matches(path, n, tol):
+    # the periods whose streak the reference extends at n
+    return [p for p in _peak_close(path, n, tol) if rotation_distance(path[n], path[n - p]) < tol]
+
+
+def _scans(monkeypatch, q0, kwargs):
+    # iterate's rotation scans as (n, p) on its path, in call order; a
+    # converged orbit's residual, which measures the accepting pair again,
+    # is checked and dropped
+    calls = []
 
     def recording(p, q):
-        scanned.append((p, q))
+        calls.append((p, q))
         return rotation_distance(p, q)
 
     monkeypatch.setattr("quadmap.dynamics.rotation_distance", recording)
     traj = iterate(q0, **kwargs)
-    tol = kwargs.get("tol", 1e-12)
-    path, last = traj.path, len(traj.path) - 1
-    peaks = [max(q) for q in path]
-    expected = [(path[n], path[n - p])
-                for n in range(1, last + 1) for p in range(1, min(P_MAX, n) + 1)
-                if abs(peaks[n] - peaks[n - p]) < tol
-                and not (traj.cycle and n == last and p > traj.cycle.period)]
+    monkeypatch.undo()
+    index = {id(s): n for n, s in enumerate(traj.path)}
+    scans = [(index[id(p)], index[id(p)] - index[id(q)]) for p, q in calls]
     if traj.cycle:
-        expected.append((path[last], path[last - traj.cycle.period]))
-    assert scanned == expected
+        assert scans.pop() == (len(traj.path) - 1, traj.cycle.period)
+    return traj, scans
+
+
+@pytest.mark.parametrize("q0, kwargs", _reference_cases())
+def test_peak_window_hides_no_pair(monkeypatch, q0, kwargs):
+    # the rotation scan sees only pairs whose peaks differ by less than tol,
+    # and only inside a replay that began at a test point whose peak window
+    # passed, or after a scanned iteration that left a streak live.  Where
+    # a streak can be accepted, the window hides no pair: every scanned
+    # iteration, every test point and every iteration after a live one is
+    # scanned for each period whose peaks are that close, in loop order, up
+    # to the accepting pair, which is the last scan
+    tol = kwargs.get("tol", 1e-12)
+    traj, scans = _scans(monkeypatch, q0, kwargs)
+    path, last = traj.path, len(traj.path) - 1
+    assert scans == sorted(set(scans))
+    scanned = {n for n, _ in scans}
+    for n in range(1, last + 1):
+        live = n - 1 in scanned and bool(_matches(path, n - 1, tol))
+        test_point = n + -n % CONFIRMATIONS
+        if n in scanned:
+            assert live or (test_point <= last and _peak_close(path, test_point, tol))
+        if n in scanned or live or n == test_point:
+            close = _peak_close(path, n, tol)
+            if traj.cycle and n == last:
+                close = close[:close.index(traj.cycle.period) + 1]
+            assert [p for m, p in scans if m == n] == close
+    if traj.cycle:
+        assert scans[-1] == (last, traj.cycle.period)
+
+
+def test_cases_reach_the_replay_paths(monkeypatch):
+    # the reference cases must include a replay that ends without
+    # acceptance, after which the loop skips an iteration whose peaks pass
+    # the peak test, and streaks that start one and two iterations before a
+    # test point with no streak live and last to it, so that only the
+    # replay sees their first match
+    skipped_after_replay = False
+    starts = set()
+    for case in _reference_cases():
+        q0, kwargs = case.values
+        tol = kwargs.get("tol", 1e-12)
+        traj, scans = _scans(monkeypatch, q0, kwargs)
+        path, scanned = traj.path, {n for n, _ in scans}
+        skipped_after_replay |= any(n not in scanned and _peak_close(path, n, tol)
+                                    for n in range(min(scanned, default=len(path)), len(path)))
+        for n in range(1, len(path)):
+            if n % CONFIRMATIONS and not _matches(path, n - 1, tol):
+                test_point = n + -n % CONFIRMATIONS
+                if test_point < len(path) and any(
+                        all(p in _matches(path, m, tol) for m in range(n, test_point + 1))
+                        for p in _matches(path, n, tol)):
+                    assert n in scanned
+                    starts.add(n % CONFIRMATIONS)
+    assert skipped_after_replay
+    assert starts == {1, 2}
 
 
 def test_states_are_built_on_first_access(monkeypatch):
@@ -502,6 +597,24 @@ def test_representatives_show_a_corrupted_public_kernel(monkeypatch):
 def test_iterate_rejects_non_positive_tol(tol):
     with pytest.raises(QuadrangleError, match="tol must be positive and finite"):
         iterate(SQUARE, tol=tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(0.05, PI - 0.05))
+def test_parallelograms_step_to_the_square(alpha):
+    # all four pair sums of (alpha, pi - alpha, alpha, pi - alpha) are pi, so
+    # closure forces x1 = x3 and x2 = x4 with x1 + x2 = pi: the segment is
+    # (t, pi - t, t, pi - t) and its midpoint is the square.  Rounding leaves
+    # up to 18 ulp of pi/2 (4.0e-15) near the ends of the range, the worst of
+    # 2,000,000 samples within 0.002 of them
+    q0 = parallelogram(alpha)
+    assert max(abs(v - PI / 2) for v in step(q0).as_tuple()) < 4e-15
+    traj = iterate(q0)
+    assert traj.classification == "square_fixed"
+    # accepted at period 1 by the earliest streak: from n = 1 when the start
+    # is itself within tol of its image, from n = 2 otherwise
+    near = rotation_distance(traj.path[1], traj.path[0]) < 1e-12
+    assert len(traj.path) - 1 == (3 if near else 4)
 
 
 def test_trapezoid_family_invariance(rng):
