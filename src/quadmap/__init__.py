@@ -2,7 +2,6 @@
 
 from .core import (
     AngleTuple,
-    CanonicalLabeling,
     EdgeTuple,
     FeasibleSegment,
     PlanarPolygon,
@@ -15,9 +14,7 @@ from .core import (
     prop1_fractions,
     realize_polygon,
     reflect_labels_angles,
-    reflect_labels_edges,
     rotate_labels,
-    validate_angles,
 )
 from .dynamics import (
     A_STAR,
@@ -29,7 +26,6 @@ from .dynamics import (
     rotation_distance,
     step,
     trapezoid_angles,
-    trapezoid_cycle_pair,
     trapezoid_edges,
 )
 from .solvers import (

@@ -15,7 +15,7 @@ import math
 import sys
 from collections import Counter
 
-from .core import QuadrangleError, validate_angles
+from .core import AngleTuple, QuadrangleError
 from .dynamics import c_map, iterate, step
 from .sampling import DEFAULT_MARGIN, sample_angle_tuple, substream
 from .solvers import (
@@ -50,7 +50,7 @@ def _parse_floats(text: str, count: int, usage: str):
 
 def _parse_angles(text: str):
     vals = _parse_floats(text, 4, "--angles expects four comma-separated radians")
-    return validate_angles(*vals)
+    return AngleTuple(*vals)
 
 
 def _emit(text: str, out_path):

@@ -82,14 +82,6 @@ class EdgeTuple:
 
 
 @dataclass(frozen=True)
-class CanonicalLabeling:
-    """Cyclic relabeling placing vertex D where both adjacent pair sums are <= pi."""
-
-    rotation_offset: int
-    rotated: AngleTuple
-
-
-@dataclass(frozen=True)
 class FeasibleSegment:
     """The 1-parameter affine family of edge tuples closing a quadrangle.
 
@@ -109,11 +101,6 @@ class PlanarPolygon:
 
     vertices: tuple
     closure_gap: float
-
-
-def validate_angles(alpha, beta, gamma, delta) -> AngleTuple:
-    """Check four raw reals as convex-quadrangle angles; never renormalizes."""
-    return AngleTuple(float(alpha), float(beta), float(gamma), float(delta))
 
 
 def _components(t):
@@ -153,11 +140,6 @@ def reflect_labels_angles(q: AngleTuple) -> AngleTuple:
     return AngleTuple(q.alpha, q.delta, q.gamma, q.beta)
 
 
-def reflect_labels_edges(e: EdgeTuple) -> EdgeTuple:
-    """Edge relabeling induced by the angle mirror: (x1, x2, x3, x4) -> (x2, x1, x4, x3)."""
-    return EdgeTuple(e.x2, e.x1, e.x4, e.x3, degenerate=e.degenerate)
-
-
 def _canonical_shift(t):
     """First r in 0..3 whose shift (t[r], t[r+1], t[r+2], t[r+3]) of the float
     4-tuple t has delta + alpha and gamma + delta, tested in this order, at
@@ -175,15 +157,15 @@ def _canonical_shift(t):
     raise QuadrangleError("no canonical labeling found; input angles inconsistent")
 
 
-def canonicalize(q: AngleTuple) -> CanonicalLabeling:
-    """Smallest cyclic shift with delta+alpha <= pi and gamma+delta <= pi.
+def canonicalize(q: AngleTuple) -> AngleTuple:
+    """q rotated by the smallest cyclic shift with delta+alpha <= pi and gamma+delta <= pi.
 
-    Such a shift always exists: the four adjacent pair sums satisfy
-    s1+s3 = s2+s4 = 2*pi, which forces a vertex whose two adjacent sums
-    are both <= pi.  Boundary equalities are admitted within _EDGE_SLACK.
+    Returns the rotated AngleTuple; _canonical_shift gives the shift.  Such
+    a shift always exists: the four adjacent pair sums satisfy s1+s3 =
+    s2+s4 = 2*pi, which forces a vertex whose two adjacent sums are both
+    <= pi.  Boundary equalities are admitted within _EDGE_SLACK.
     """
-    r = _canonical_shift(q.as_tuple())
-    return CanonicalLabeling(r, AngleTuple(*rotate_labels(q, r)))
+    return AngleTuple(*rotate_labels(q, _canonical_shift(q.as_tuple())))
 
 
 def _triangle_edges(phi, psi):

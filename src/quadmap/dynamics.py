@@ -25,6 +25,7 @@ from .core import (
     balanced_edges,
     reflect_labels_angles,
     relabel_distance,
+    rotate_labels,
 )
 
 P_MAX = 8           # longest period the detector scans for
@@ -121,21 +122,6 @@ def trapezoid_angles(a: float) -> AngleTuple:
     return AngleTuple(a, math.pi - a, math.pi - a, a)
 
 
-def trapezoid_cycle_pair():
-    """The two states of the attracting 2-cycle inside the trapezoid family."""
-    t1 = trapezoid_angles(A_STAR)
-    u, _, _, v = trapezoid_edges(A_STAR).as_tuple()
-    # step(t1) in the labeling produced by the map
-    t2 = AngleTuple(v, u, math.pi / 2.0, u)
-    return t1, t2
-
-
-def general_cycle_pair():
-    """The generic attracting 2-cycle: a state and its mirror relabeling."""
-    q1 = GENERAL_CYCLE_ANGLES
-    return q1, reflect_labels_angles(q1)
-
-
 def dihedral_distance(p: AngleTuple, q: AngleTuple) -> float:
     """Minimum sup-norm distance over the 8 relabelings (rotations x reflection) of q."""
     return relabel_distance(p, q, DIHEDRAL)
@@ -155,12 +141,16 @@ def rotation_distance(p, q) -> float:
 
 
 # the known limit sets, most common first; they lie more than 0.05 apart,
-# so at most one matches within MATCH_TOL and the order changes no result
-KNOWN_CYCLES = (
-    ("general_2cycle", general_cycle_pair()),
-    ("trapezoid_2cycle", trapezoid_cycle_pair()),
-    ("square_fixed", (SQUARE,)),
-)
+# so at most one matches within MATCH_TOL and the order changes no result.
+# The generic 2-cycle is a state and its mirror relabeling; the trapezoid
+# 2-cycle is the trapezoid state at A_STAR and its image under step, in the
+# labeling the map produces
+KNOWN_CYCLES = {
+    "general_2cycle": (GENERAL_CYCLE_ANGLES, reflect_labels_angles(GENERAL_CYCLE_ANGLES)),
+    "trapezoid_2cycle": (trapezoid_angles(A_STAR),
+                         AngleTuple(*rotate_labels(trapezoid_edges(A_STAR), 3))),
+    "square_fixed": (SQUARE,),
+}
 
 
 def _cycle_distance(reps, known):
@@ -172,7 +162,7 @@ def _cycle_distance(reps, known):
 
 def _classify(reps):
     # a cycle detected at a multiple of its period matches it repeated
-    for name, known in KNOWN_CYCLES:
+    for name, known in KNOWN_CYCLES.items():
         if len(reps) % len(known) == 0:
             d = _cycle_distance(reps, known)
             if d < MATCH_TOL:

@@ -157,7 +157,7 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
         q = AngleTuple(1.2, 2.1, 1.5, TWO_PI - 4.8)
         for _ in range(51):
             q = step(q)
-        initial = ChartPoint.from_angles(canonicalize(q).rotated)
+        initial = ChartPoint.from_angles(canonicalize(q))
         provenance = "initial guess from 51 map iterations of a generic seed"
     else:
         provenance = "caller-supplied initial guess"
@@ -210,7 +210,7 @@ def eigenvalue_moduli_3x3(m) -> tuple:
     Roots of the cubic y^3 + p*y + q of (u - t*I) / s, with u = m / 2^k < 2 (no
     overflow), t the mean diagonal of u, s the largest |entry| of u - t*I: three
     real roots in trigonometric form, else Cardano's root and a deflated quadratic.
-    A NaN or infinite entry raises SolverError, as numpy's eigvals refused it.
+    A NaN or infinite entry raises SolverError.
     """
     if not all(math.isfinite(x) for row in m for x in row):
         raise SolverError("matrix has non-finite entries")

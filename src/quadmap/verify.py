@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import core
-from .core import IDENTITY, ROTATIONS, AngleTuple, balanced_edges, balanced_edges_oracle
+from .core import IDENTITY, ROTATIONS, TWO_PI, AngleTuple, balanced_edges, balanced_edges_oracle
 from .core import canonicalize, prop1_fractions, realize_polygon, reflect_labels_angles
 from .core import relabel_distance, rotate_labels
 from .dynamics import (
@@ -188,17 +187,17 @@ def check_property_suite() -> CheckResult:
     for _ in range(1000):
         q = sample_angle_tuple(rng)
         e = balanced_edges(q)
-        e_can = balanced_edges(canonicalize(q).rotated)
+        e_can = balanced_edges(canonicalize(q))
         worst_half = max(worst_half, e_can.x2, e_can.x3)
         over_half_max = max(over_half_max,
                             sum(1 for x in e.as_tuple() if x > math.pi / 2))
-        worst_sum = max(worst_sum, abs(e.x1 + e.x2 + e.x3 + e.x4 - core.TWO_PI))
+        worst_sum = max(worst_sum, abs(e.x1 + e.x2 + e.x3 + e.x4 - TWO_PI))
         k = rng.integers(4)
         rot = balanced_edges(AngleTuple(*rotate_labels(q, k)))
         worst_rot = max(worst_rot, relabel_distance(rot, e, (ROTATIONS[k],)))
         refl = balanced_edges(reflect_labels_angles(q))
-        worst_refl = max(worst_refl,
-                         relabel_distance(refl, core.reflect_labels_edges(e), IDENTITY))
+        # (1, 0, 3, 2) is the edge relabeling induced by the angle mirror
+        worst_refl = max(worst_refl, relabel_distance(refl, e, ((1, 0, 3, 2),)))
     ok &= worst_half <= math.pi / 2 + 1e-12
     ok &= over_half_max <= 2
     ok &= worst_rot <= 1e-10 and worst_refl <= 1e-10 and worst_sum <= 1e-9

@@ -126,15 +126,17 @@ TOL_ARGVS = [
 
 
 def test_thin_trapezoid_is_rejected_with_one_message(capsys):
-    # a valid state whose endpoint edge passes pi + 1e-12; step's validated
-    # types and iterate's float kernel must give the same reason
-    angles = "0.0001,3.1414926535897933,3.1414926535897933,0.0001"
-    errs = set()
-    for argv in (["step"], ["iterate", "--max-iter", "5"], ["cycle"]):
-        code, err = run_bounded(capsys, 10, *argv, "--angles", angles)
-        assert code == 2
-        errs.add(err)
-    assert errs == {"error: x3 = 3.1415926535915304 outside allowed edge range\n"}
+    # valid states whose endpoint edge passes pi + 1e-12, a thin trapezoid and
+    # a thin parallelogram; step's validated types and iterate's float kernel
+    # must give the same reason
+    for angles, edge in (("0.0001,3.1414926535897933,3.1414926535897933,0.0001", "x3"),
+                         ("0.0001,3.1414926535897933,0.0001,3.1414926535897933", "x4")):
+        errs = set()
+        for argv in (["step"], ["iterate", "--max-iter", "5"], ["cycle"]):
+            code, err = run_bounded(capsys, 10, *argv, "--angles", angles)
+            assert code == 2
+            errs.add(err)
+        assert errs == {f"error: {edge} = 3.1415926535915304 outside allowed edge range\n"}
 
 
 @pytest.mark.parametrize("argv", TOL_ARGVS)
@@ -523,6 +525,22 @@ def test_both_error_classes_are_package_exports():
     assert quadmap.QuadrangleError is core.QuadrangleError
     assert quadmap.SolverError is quadmap.solvers.SolverError
     assert {"QuadrangleError", "SolverError"} <= set(quadmap.__all__)
+
+
+def test_public_surface_is_pinned():
+    # every export is a visible edit here; core, dynamics and solvers are the
+    # submodules the package imports from, which dir() picks up
+    assert sorted(quadmap.__all__) == [
+        "A_STAR", "AngleTuple", "ChartPoint", "CycleInfo", "EdgeTuple",
+        "FeasibleSegment", "PlanarPolygon", "QuadrangleError", "SolveResult",
+        "SolverError", "StabilityReport", "Trajectory", "balanced_edges",
+        "balanced_edges_oracle", "c_map", "canonicalize", "core", "cycle_system_rhs",
+        "degenerate_edges_first", "degenerate_edges_second", "dihedral_distance",
+        "dynamics", "eigenvalue_moduli_3x3", "fd_jacobian", "iterate", "prop1_fractions",
+        "realize_polygon", "reflect_labels_angles", "rotate_labels", "rotation_distance",
+        "solve_cycle_system", "solve_trapezoid_fixed_point", "solvers", "stability_report",
+        "step", "trapezoid_angles", "trapezoid_edges",
+    ]
 
 
 COLD_PATH = """

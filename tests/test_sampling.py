@@ -12,7 +12,7 @@ import pytest
 
 import quadmap.core as core
 from quadmap._pcg64 import PCG64
-from quadmap.core import QuadrangleError, balanced_edges_oracle, validate_angles
+from quadmap.core import AngleTuple, QuadrangleError, balanced_edges_oracle
 from quadmap.sampling import sample_angle_tuple, substream
 
 EDGE_SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3, 2**128 + 5]
@@ -95,4 +95,4 @@ def test_cofactor_oracle_agrees_with_svd():
 def test_rank_deficient_closure_system_raises(monkeypatch):
     monkeypatch.setattr(core, "_edge_headings", lambda q: (0.0, math.pi, 0.0, math.pi))
     with pytest.raises(QuadrangleError, match="closure system is rank-deficient"):
-        balanced_edges_oracle(validate_angles(*(4 * [math.pi / 2])))
+        balanced_edges_oracle(AngleTuple(*(4 * [math.pi / 2])))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quadmap.core as core
 import quadmap.solvers as solvers
 from quadmap.core import TWO_PI, AngleTuple, QuadrangleError, balanced_edges, canonicalize
 from quadmap.dynamics import A_STAR, GENERAL_CYCLE_ANGLES, SQUARE, c_map, step
@@ -122,8 +123,8 @@ class TestCycleSystem:
     def test_rhs_is_balanced_edges_of_canonical_state(self, random_angles):
         # the relations read x1, x3, x2 of the balanced edges, bit for bit
         for q in random_angles:
-            can = canonicalize(q).rotated
-            assert canonicalize(can).rotation_offset == 0
+            can = canonicalize(q)
+            assert core._canonical_shift(can.as_tuple()) == 0
             e = balanced_edges(can)
             r = cycle_system_rhs(ChartPoint.from_angles(can))
             assert (r.alpha, r.gamma, r.delta) == (e.x1, e.x3, e.x2)
@@ -137,7 +138,7 @@ class TestCycleSystem:
         q = AngleTuple(1.2, 2.1, 1.5, TWO_PI - 4.8)
         for _ in range(n):
             q = step(q)
-        start = ChartPoint.from_angles(canonicalize(q).rotated)
+        start = ChartPoint.from_angles(canonicalize(q))
         explicit = solve_cycle_system(initial=start, tol=1e-12)
         assert (explicit.solution, explicit.iterations) == (r.solution, r.iterations)
 
@@ -367,9 +368,9 @@ class TestStabilityReport:
         # the double step returns to a rotate-by-1 relabeling of the
         # trapezoid state; composing with that relabeling gives the honest
         # cycle linearization, whose in-family multiplier is c'(a*)
-        from quadmap.dynamics import trapezoid_cycle_pair
+        from quadmap.dynamics import KNOWN_CYCLES
 
-        t1, _ = trapezoid_cycle_pair()
+        t1, _ = KNOWN_CYCLES["trapezoid_2cycle"]
         rep = stability_report(t1, map_order=2)
         assert all(np.isfinite(rep.eigenvalue_moduli))
         jac = np.array(rep.jacobian)
