@@ -115,7 +115,7 @@ def cmd_curve(args) -> tuple[int, str]:
         raise QuadrangleError("curve needs 0 < from < to <= pi/2 and samples >= 2")
     lines = ["a,c"]
     for i in range(n):
-        a = lo + (hi - lo) * i / (n - 1)
+        a = min(lo + (hi - lo) * i / (n - 1), hi)
         lines.append(f"{fmt(a)},{fmt(c_map(a))}")
     return EXIT_OK, "\n".join(lines) + "\n"
 

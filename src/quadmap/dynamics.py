@@ -180,29 +180,25 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
     same labeled tuple.  Non-convergence is reported via the
     classification, not an error.
 
-    The largest angle is unchanged by relabeling and 1-Lipschitz in the
-    sup norm, so |max p - max q| <= rotation_distance(p, q), in floats too
-    (rounded subtraction is monotone); a pair whose peaks differ by tol or
-    more is rejected without the rotation scan.  An accepted streak of
-    CONFIRMATIONS consecutive n covers a test point, a multiple of
-    CONFIRMATIONS, so while no streak is live the loop only records states
-    between test points.  At a test point, the sorted last P_MAX peaks
-    show whether any period can pass the peak test: if none lies in
-    [peak - tol, peak + tol], rounded, every streak is 0; otherwise the
-    per-period loop replays each n since the last settled one, whose
-    streaks were all 0, so it can accept only at the test point, and then
-    runs at each n while a streak is live.  The window hides no pair:
-    rounding is monotone, so abs(peak - w) < tol in floats implies
-    peak - tol < w < peak + tol exactly, and the float w lies between the
-    two rounded bounds.
+    The largest angle is unchanged by relabeling and 1-Lipschitz in the sup
+    norm, so |max p - max q| <= rotation_distance(p, q), in floats too
+    (rounded subtraction is monotone): a pair whose peaks differ by tol or
+    more fails without the rotation scan.  Any CONFIRMATIONS consecutive n
+    hold a test point, a multiple of CONFIRMATIONS, so a period accepted at
+    n recurs at the last test point.  The loop keeps the periods that recur
+    there and, up to the next one, checks only those over the CONFIRMATIONS
+    pairs ending at n, once all of them lie on the path.  A test point first
+    sorts the last P_MAX peaks: if none lies in [peak - tol, peak + tol],
+    rounded, no period recurs.  That window hides no pair: rounding is
+    monotone, so abs(peak - w) < tol in floats implies peak - tol < w <
+    peak + tol exactly, and the float w lies between the two rounded bounds.
 
     The loop validates nothing: the kernel applies AngleTuple's range and
-    sum checks to each float state, and the rotation scan is
-    rotation_distance(q, path[n - p]) < tol on the floats (its least
-    max-difference is below tol exactly when some rotation has all four
-    differences below tol).  Both residuals are measured on Trajectory.path;
-    AngleTuple validates only the period states the cycle report re-steps
-    and, when read, Trajectory.states.
+    sum checks to each float state, and the rotation scan runs on the floats
+    (its least max-difference is below tol exactly when some rotation has
+    all four differences below tol).  Both residuals are measured on
+    Trajectory.path; AngleTuple validates only the period states the cycle
+    report re-steps and, when read, Trajectory.states.
     """
     if max_iter < 1:
         raise QuadrangleError("max_iter must be >= 1")
@@ -211,9 +207,11 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
     q = q0.as_tuple()
     path = [q]
     peaks = [max(q)]
-    streak = [0] * (P_MAX + 1)
-    live = False   # some streak is nonzero
-    done = 0       # the last iteration settled; streak holds its streaks
+    periods = ()   # the periods that recur at the last test point
+
+    def recurs(m, p):
+        return abs(peaks[m] - peaks[m - p]) < tol and rotation_distance(path[m], path[m - p]) < tol
+
     for n in range(1, max_iter + 1):
         q = _balanced_edge_floats(q)
         a, b, c, d = q
@@ -222,26 +220,20 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
         peak = ab if ab > cd else cd
         path.append(q)
         peaks.append(peak)
-        if not live:
-            if n % CONFIRMATIONS:
+        if n % CONFIRMATIONS:
+            if not periods:
                 continue
+        else:
             window = sorted(peaks[-1 - P_MAX:-1])
             i = bisect_left(window, peak - tol)
             if i == len(window) or window[i] > peak + tol:
-                done = n   # no period can pass the peak test: every streak is 0
+                periods = ()
                 continue
-        for m in range(done + 1, n + 1):
-            live = False
-            for p in range(1, min(P_MAX, m) + 1):
-                if (abs(peaks[m] - peaks[m - p]) < tol
-                        and rotation_distance(path[m], path[m - p]) < tol):
-                    streak[p] += 1
-                    live = True
-                    if streak[p] >= CONFIRMATIONS:
-                        return _trajectory(path, p)
-                else:
-                    streak[p] = 0
-        done = n
+            periods = [p for p in range(1, min(P_MAX, n) + 1) if recurs(n, p)]
+        first = n - CONFIRMATIONS + 1
+        for p in periods:
+            if p <= first and all(recurs(m, p) for m in range(first, n + 1)):
+                return _trajectory(path, p)
     return _trajectory(path, None)
 
 

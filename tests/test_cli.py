@@ -179,6 +179,17 @@ class TestCurve:
         nearest = min(rows, key=lambda r: abs(r[0] - 1.4834215876937795))
         assert abs(nearest[1] - nearest[0]) < grid
 
+    def test_last_sample_is_the_upper_end(self, capsys):
+        # lo + (hi - lo) * i / (n - 1) at i = n - 1 rounds 1 ulp above hi
+        # here, outside c_map's domain when hi is pi/2
+        lo = 0.2110588619699684
+        assert lo + (PI / 2 - lo) * 49 / 49 > PI / 2
+        code, out = run(capsys, "curve", "--from", repr(lo), "--samples", "50")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 51
+        assert lines[-1] == f"{fmt(PI / 2)},{fmt(PI / 2)}"
+
     def test_bad_range_exit_2(self, capsys):
         assert main(["curve", "--from", "2.0", "--to", "1.0"]) == 2
         assert main(["curve", "--from", "1.4", "--to", "1.5", "--samples", "1"]) == 2

@@ -263,6 +263,10 @@ def _reference_cases():
               for i, q0 in enumerate(starts[:4])]
     cases += [pytest.param(trapezoid_angles(a), {}, id=f"trapezoid{a:.3f}")
               for a in (0.3, 0.8, 1.2, 1.5, PI / 2)]
+    # the known 2-cycles' states, accepted at n = 4, and the square at n = 3
+    cases += [pytest.param(s, {}, id=f"{name}-{i}")
+              for name, states in KNOWN_CYCLES.items() if len(states) == 2
+              for i, s in enumerate(states)]
     cases += [pytest.param(SQUARE, {}, id="square"),
               pytest.param(AngleTuple(1.2, 2.1, 1.5, 2 * PI - 4.8),
                            {"max_iter": 50}, id="generic-cut50")]
@@ -278,7 +282,7 @@ PARALLELOGRAM_ALPHAS = (0.05, 0.7, 2.0, PI - 0.05)
 
 def _parallelogram_cases():
     # the square is accepted at n = 4, the earliest after one step onto it,
-    # by a streak that starts at n = 2, one iteration before the first test
+    # on pairs that recur from n = 2, one iteration before the first test
     # point; the square itself is accepted at n = 3
     return [pytest.param(parallelogram(a), {}, id=f"parallelogram{a:.3f}")
             for a in PARALLELOGRAM_ALPHAS]
@@ -286,8 +290,9 @@ def _parallelogram_cases():
 
 def _cut_cases():
     # budgets that end one and two iterations before an orbit's acceptance,
-    # with the streak live; the accepting n of these orbits covers every
-    # residue mod CONFIRMATIONS, so the budgets end at and between test points
+    # with its period already recurring; the accepting n of these orbits
+    # covers every residue mod CONFIRMATIONS, so the budgets end at and
+    # between test points
     starts = [(f"sample{i}", q0) for i, q0 in enumerate(_sample_starts()[:2])]
     starts += [("trapezoid0.300", trapezoid_angles(0.3)),
                (f"parallelogram{PARALLELOGRAM_ALPHAS[1]:.3f}",
@@ -371,20 +376,19 @@ def test_peak_difference_bounds_rotation_distance(rng, tol):
         assert rotation_distance(p.as_tuple(), q.as_tuple()) == d
 
 
-def _peak_close(path, n, tol):
-    # the periods whose pair at n passes the peak test, in loop order
-    return [p for p in range(1, min(P_MAX, n) + 1) if abs(max(path[n]) - max(path[n - p])) < tol]
+def _recurring(path, n, tol):
+    # the periods whose pair at n recurs within tol, measured directly
+    return [p for p in range(1, min(P_MAX, n) + 1)
+            if rotation_distance(path[n], path[n - p]) < tol]
 
 
-def _matches(path, n, tol):
-    # the periods whose streak the reference extends at n
-    return [p for p in _peak_close(path, n, tol) if rotation_distance(path[n], path[n - p]) < tol]
-
-
-def _scans(monkeypatch, q0, kwargs):
-    # iterate's rotation scans as (n, p) on its path, in call order; a
-    # converged orbit's residual, which measures the accepting pair again,
-    # is checked and dropped
+@pytest.mark.parametrize("q0, kwargs", _reference_cases())
+def test_peak_window_hides_no_pair(monkeypatch, q0, kwargs):
+    # the rotation scan sees only pairs whose peaks differ by less than tol.
+    # At every test point it sees each period that recurs there, so the
+    # sorted peak window hides no pair.  Between test points it sees only
+    # periods that recur at the test point just before or just after
+    tol = kwargs.get("tol", 1e-12)
     calls = []
 
     def recording(p, q):
@@ -394,66 +398,37 @@ def _scans(monkeypatch, q0, kwargs):
     monkeypatch.setattr("quadmap.dynamics.rotation_distance", recording)
     traj = iterate(q0, **kwargs)
     monkeypatch.undo()
-    index = {id(s): n for n, s in enumerate(traj.path)}
-    scans = [(index[id(p)], index[id(p)] - index[id(q)]) for p, q in calls]
-    if traj.cycle:
-        assert scans.pop() == (len(traj.path) - 1, traj.cycle.period)
-    return traj, scans
+    path = traj.path
+    index = {id(s): n for n, s in enumerate(path)}
+    scans = {(index[id(p)], index[id(p)] - index[id(q)]) for p, q in calls}
+    assert all(abs(max(path[n]) - max(path[n - p])) < tol for n, p in scans)
+    for t in range(CONFIRMATIONS, len(path), CONFIRMATIONS):
+        assert {(t, p) for p in _recurring(path, t, tol)} <= scans
+    for n, p in scans:
+        if n % CONFIRMATIONS:
+            near = range(n - n % CONFIRMATIONS, min(n + CONFIRMATIONS, len(path)), CONFIRMATIONS)
+            assert any(p in _recurring(path, t, tol) for t in near)
 
 
-@pytest.mark.parametrize("q0, kwargs", _reference_cases())
-def test_peak_window_hides_no_pair(monkeypatch, q0, kwargs):
-    # the rotation scan sees only pairs whose peaks differ by less than tol,
-    # and only inside a replay that began at a test point whose peak window
-    # passed, or after a scanned iteration that left a streak live.  Where
-    # a streak can be accepted, the window hides no pair: every scanned
-    # iteration, every test point and every iteration after a live one is
-    # scanned for each period whose peaks are that close, in loop order, up
-    # to the accepting pair, which is the last scan
-    tol = kwargs.get("tol", 1e-12)
-    traj, scans = _scans(monkeypatch, q0, kwargs)
-    path, last = traj.path, len(traj.path) - 1
-    assert scans == sorted(set(scans))
-    scanned = {n for n, _ in scans}
-    for n in range(1, last + 1):
-        live = n - 1 in scanned and bool(_matches(path, n - 1, tol))
-        test_point = n + -n % CONFIRMATIONS
-        if n in scanned:
-            assert live or (test_point <= last and _peak_close(path, test_point, tol))
-        if n in scanned or live or n == test_point:
-            close = _peak_close(path, n, tol)
-            if traj.cycle and n == last:
-                close = close[:close.index(traj.cycle.period) + 1]
-            assert [p for m, p in scans if m == n] == close
-    if traj.cycle:
-        assert scans[-1] == (last, traj.cycle.period)
-
-
-def test_cases_reach_the_replay_paths(monkeypatch):
-    # the reference cases must include a replay that ends without
-    # acceptance, after which the loop skips an iteration whose peaks pass
-    # the peak test, and streaks that start one and two iterations before a
-    # test point with no streak live and last to it, so that only the
-    # replay sees their first match
-    skipped_after_replay = False
-    starts = set()
+def test_cases_reach_every_detector_path():
+    # the reference cases must accept at every residue of n mod
+    # CONFIRMATIONS, so acceptance is tested at and after a test point, and
+    # must hold a test point with a recurring period that is not accepted
+    # within the next CONFIRMATIONS - 1 iterations, so the loop drops it
+    residues = set()
+    lapsed = 0
     for case in _reference_cases():
         q0, kwargs = case.values
         tol = kwargs.get("tol", 1e-12)
-        traj, scans = _scans(monkeypatch, q0, kwargs)
-        path, scanned = traj.path, {n for n, _ in scans}
-        skipped_after_replay |= any(n not in scanned and _peak_close(path, n, tol)
-                                    for n in range(min(scanned, default=len(path)), len(path)))
-        for n in range(1, len(path)):
-            if n % CONFIRMATIONS and not _matches(path, n - 1, tol):
-                test_point = n + -n % CONFIRMATIONS
-                if test_point < len(path) and any(
-                        all(p in _matches(path, m, tol) for m in range(n, test_point + 1))
-                        for p in _matches(path, n, tol)):
-                    assert n in scanned
-                    starts.add(n % CONFIRMATIONS)
-    assert skipped_after_replay
-    assert starts == {1, 2}
+        traj = iterate(q0, **kwargs)
+        last = len(traj.path) - 1
+        if traj.cycle:
+            residues.add(last % CONFIRMATIONS)
+        end = last - 1 if traj.cycle else last
+        lapsed += sum(bool(_recurring(traj.path, t, tol))
+                      for t in range(CONFIRMATIONS, end - CONFIRMATIONS + 2, CONFIRMATIONS))
+    assert residues == set(range(CONFIRMATIONS))
+    assert lapsed > 0
 
 
 def test_states_are_built_on_first_access(monkeypatch):
