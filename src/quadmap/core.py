@@ -9,7 +9,7 @@ delta) at vertices A, B, C, D in counter-clockwise order; edges
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from math import sin
 
 TWO_PI = 2.0 * math.pi
@@ -28,14 +28,19 @@ class QuadrangleError(ValueError):
     """Invalid input, or an operation called outside its domain of validity."""
 
 
-@dataclass(frozen=True)
-class AngleTuple:
+class AngleTuple(namedtuple("AngleTuple", "alpha beta gamma delta")):
     """Interior angles (radians) at vertices A, B, C, D, counter-clockwise."""
 
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
+    __slots__ = ()
+
+    def __new__(cls, alpha, beta, gamma, delta):
+        self = super().__new__(cls, alpha, beta, gamma, delta)
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)   # so _replace validates too
 
     def __post_init__(self):
         for name, v in zip("alpha beta gamma delta".split(), self.as_tuple()):
@@ -59,19 +64,24 @@ def _edge_error(x, degenerate):
         return f"edge sum {s} differs from 2*pi"
 
 
-@dataclass(frozen=True)
-class EdgeTuple:
+class EdgeTuple(namedtuple("EdgeTuple", "x1 x2 x3 x4 degenerate")):
     """Edge lengths of DA, AB, BC, CD; perimeter fixed at 2*pi.
 
     Zero (and pi) components only occur in degenerate endpoint tuples,
-    which carry the ``degenerate`` flag.
+    which carry the ``degenerate`` flag.  It is the fifth item, so
+    as_tuple(), not iteration, gives the four edges.
     """
 
-    x1: float
-    x2: float
-    x3: float
-    x4: float
-    degenerate: bool = False
+    __slots__ = ()
+
+    def __new__(cls, x1, x2, x3, x4, degenerate=False):
+        self = super().__new__(cls, x1, x2, x3, x4, degenerate)
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)   # so _replace validates too
 
     def __post_init__(self):
         if reason := _edge_error(self.as_tuple(), self.degenerate):
@@ -81,26 +91,20 @@ class EdgeTuple:
         return (self.x1, self.x2, self.x3, self.x4)
 
 
-@dataclass(frozen=True)
-class FeasibleSegment:
+class FeasibleSegment(namedtuple("FeasibleSegment", "base direction t_min t_max")):
     """The 1-parameter affine family of edge tuples closing a quadrangle.
 
     ``base`` is the segment midpoint; ``base + t*direction`` stays feasible
     for t in [t_min, t_max], and exactly one component vanishes at each end.
     """
 
-    base: EdgeTuple
-    direction: tuple
-    t_min: float
-    t_max: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PlanarPolygon:
+class PlanarPolygon(namedtuple("PlanarPolygon", "vertices closure_gap")):
     """Four plane vertices realizing an (angles, edges) pair, plus closure gap."""
 
-    vertices: tuple
-    closure_gap: float
+    __slots__ = ()
 
 
 def _components(t):

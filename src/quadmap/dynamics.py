@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Optional
 
 from .core import (
     DIHEDRAL,
@@ -54,26 +53,18 @@ GENERAL_CYCLE_ANGLES = AngleTuple(
 )
 
 
-@dataclass(frozen=True)
-class CycleInfo:
-    period: int
-    representative_states: tuple
-    classification: str
-    residual: float
-    match_distance: float
+CycleInfo = namedtuple(
+    "CycleInfo", "period representative_states classification residual match_distance")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """An orbit of the map and the cycle it settled on, if any.
+class Trajectory(namedtuple("Trajectory", "path cycle")):
+    """An orbit of the map and the cycle it settled on (a CycleInfo), if any.
 
     path holds the orbit as float 4-tuples, start first.  states holds the
-    same orbit as frozen AngleTuples, validated by AngleTuple when first
-    read and then kept.  residual is the detector's distance at exit, on path.
+    same orbit as AngleTuples, validated by AngleTuple when first read and
+    then kept (no __slots__, so the cache has a __dict__).  residual is the
+    detector's distance at exit, on path.
     """
-
-    path: tuple
-    cycle: Optional[CycleInfo]
 
     @cached_property
     def states(self) -> tuple:

@@ -7,8 +7,8 @@ chart uses coordinates (alpha, gamma, delta) with beta implied.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
-from typing import Callable, Optional
+from collections import namedtuple
+from collections.abc import Callable
 
 from .core import TWO_PI, AngleTuple, QuadrangleError, _det3, _triangle_edges, canonicalize
 from .dynamics import c_map, step
@@ -27,21 +27,13 @@ class SolverError(RuntimeError):
     """A root-finder or linearization failed."""
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    solution: object
-    residual_norm: float
-    iterations: int
-    provenance: str
+SolveResult = namedtuple("SolveResult", "solution residual_norm iterations provenance")
 
 
-@dataclass(frozen=True)
-class ChartPoint:
+class ChartPoint(namedtuple("ChartPoint", "alpha gamma delta")):
     """Reduced coordinates (alpha, gamma, delta); beta = 2*pi - alpha - gamma - delta."""
 
-    alpha: float
-    gamma: float
-    delta: float
+    __slots__ = ()
 
     @property
     def beta(self) -> float:
@@ -55,21 +47,14 @@ class ChartPoint:
         return ChartPoint(q.alpha, q.gamma, q.delta)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    point: ChartPoint
-    map_order: int
-    jacobian: tuple
-    eigenvalue_moduli: tuple
-    spectral_radius: float
+StabilityReport = namedtuple(
+    "StabilityReport", "point map_order jacobian eigenvalue_moduli spectral_radius")
 
 
-@dataclass(frozen=True)
-class TrapezoidFixedPoints:
+class TrapezoidFixedPoints(namedtuple("TrapezoidFixedPoints", "attracting repelling")):
     """Both fixed points of the trapezoid submap: the attracting root and pi/2."""
 
-    attracting: SolveResult
-    repelling: float
+    __slots__ = ()
 
 
 def _inside(p: ChartPoint, h: float) -> bool:
@@ -128,7 +113,7 @@ def cycle_system_rhs(p: ChartPoint) -> ChartPoint:
 
 
 def _cycle_residual(v):
-    return tuple(r - x for r, x in zip(astuple(cycle_system_rhs(ChartPoint(*v))), v))
+    return tuple(r - x for r, x in zip(cycle_system_rhs(ChartPoint(*v)), v))
 
 
 def _solve3(a, b):
@@ -140,7 +125,7 @@ def _solve3(a, b):
     return [_det3(*cols[:i], b, *cols[i + 1:]) / det for i in range(3)]
 
 
-def solve_cycle_system(initial: Optional[ChartPoint] = None,
+def solve_cycle_system(initial: ChartPoint | None = None,
                        tol: float = 1e-12) -> SolveResult:
     """Damped Newton solve of the cycle relations in the reduced chart.
 
@@ -162,7 +147,7 @@ def solve_cycle_system(initial: Optional[ChartPoint] = None,
     else:
         provenance = "caller-supplied initial guess"
 
-    v = astuple(initial)
+    v = tuple(initial)
     res = _cycle_residual(v)
     norm = max(map(abs, res))
     for it in range(1, CYCLE_MAX_ITER + 1):
@@ -194,8 +179,8 @@ def fd_jacobian(chart_map: Callable[[ChartPoint], ChartPoint],
         raise QuadrangleError("fd step h must lie in [1e-8, 1e-4]")
     if not _inside(p, h):
         raise SolverError("chart point within h of the domain boundary")
-    v = astuple(p)
-    images = [[astuple(chart_map(ChartPoint(*(x + d * (i == j) for i, x in enumerate(v)))))
+    v = tuple(p)
+    images = [[chart_map(ChartPoint(*(x + d * (i == j) for i, x in enumerate(v))))
                for d in (h, -h)] for j in range(3)]
     # column j is the central difference along coordinate j
     jac = tuple(zip(*([(a - b) / (2.0 * h) for a, b in zip(up, down)] for up, down in images)))

@@ -8,7 +8,7 @@ failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import IDENTITY, ROTATIONS, TWO_PI, AngleTuple, balanced_edges, balanced_edges_oracle
 from .core import canonicalize, prop1_fractions, realize_polygon, reflect_labels_angles
@@ -40,11 +40,7 @@ from .solvers import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "name passed detail")
 
 
 def check_square_fixed_point() -> CheckResult:

@@ -3,7 +3,6 @@ end-to-end CLI gate.  Run with `pytest -s tests/test_acceptance.py` to see
 the per-criterion pass/fail lines.
 """
 
-import dataclasses
 import math
 import time
 
@@ -57,8 +56,7 @@ def test_a_star_gate_is_a_few_ulp(monkeypatch):
     def shifted(tol):
         fp = original(tol=tol)
         a = fp.attracting.solution + 5 * math.ulp(verify.A_STAR)
-        return dataclasses.replace(
-            fp, attracting=dataclasses.replace(fp.attracting, solution=a))
+        return fp._replace(attracting=fp.attracting._replace(solution=a))
 
     monkeypatch.setattr(verify, "solve_trapezoid_fixed_point", shifted)
     assert not verify.check_trapezoid_fixed_point().passed
@@ -69,8 +67,8 @@ def test_cycle_angle_gate_is_1e_14(monkeypatch):
 
     def shifted(tol):
         result = original(tol=tol)
-        sol = dataclasses.replace(result.solution, alpha=result.solution.alpha + 1e-12)
-        return dataclasses.replace(result, solution=sol)
+        sol = result.solution._replace(alpha=result.solution.alpha + 1e-12)
+        return result._replace(solution=sol)
 
     monkeypatch.setattr(verify, "solve_cycle_system", shifted)
     assert not verify.check_general_cycle_solution().passed
@@ -81,7 +79,7 @@ def test_cycle_residual_gate_is_1e_14(monkeypatch):
 
     def shifted(p):
         r = original(p)
-        return dataclasses.replace(r, gamma=r.gamma + 1e-12)
+        return r._replace(gamma=r.gamma + 1e-12)
 
     monkeypatch.setattr(verify, "cycle_system_rhs", shifted)
     assert not verify.check_general_cycle_solution().passed
@@ -110,8 +108,7 @@ def test_trapezoid_basin_gate_is_1e_10(monkeypatch):
 
     def shifted(q0, max_iter, tol):
         traj = original(q0, max_iter=max_iter, tol=tol)
-        return dataclasses.replace(
-            traj, cycle=dataclasses.replace(traj.cycle, match_distance=1e-9))
+        return traj._replace(cycle=traj.cycle._replace(match_distance=1e-9))
 
     monkeypatch.setattr(verify, "iterate", shifted)
     result = verify.check_trapezoid_basin()
@@ -128,7 +125,7 @@ def test_spectral_radius_gates_are_1e_4(monkeypatch, order):
         report = original(q, map_order=map_order)
         if map_order != order:
             return report
-        return dataclasses.replace(report, spectral_radius=report.spectral_radius + 2e-4)
+        return report._replace(spectral_radius=report.spectral_radius + 2e-4)
 
     monkeypatch.setattr(verify, "stability_report", shifted)
     assert not verify.check_stability_spectra().passed

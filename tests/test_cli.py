@@ -590,6 +590,29 @@ def test_numpy_stays_out_of_the_cold_path(tmp_path):
     assert proc.stdout.strip() == "[False, False, False, False, False]"
 
 
+COLD_IMPORTS = """
+import sys
+import argparse, json, collections, functools, math, bisect
+baseline = set(sys.modules)
+import quadmap.cli
+print(sorted({"dataclasses", "inspect", "typing"} & (set(sys.modules) - baseline)))
+"""
+
+
+def test_cold_import_loads_no_dataclasses_or_inspect():
+    # the records are named tuples: importing `dataclasses`, which pulls in
+    # `inspect`, and defining the classes took a fifth of a fresh CLI call.
+    # The baseline holds the stdlib modules cli imports itself and whatever
+    # site hooks loaded (a .pth file may import typing before any user code)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_IMPORTS],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 WITHOUT_NUMPY = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None   # any import of numpy now raises ImportError

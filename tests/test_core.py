@@ -52,6 +52,43 @@ class TestValidation:
         e = EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True)
         assert e.x1 == 0.0
 
+    @pytest.mark.parametrize("record, changes", [
+        (AngleTuple(*SQUARE), {"alpha": PI}),
+        (AngleTuple(*SQUARE), {"alpha": 1.0}),
+        (EdgeTuple(*SQUARE), {"x1": 0.0, "x2": PI}),
+        (EdgeTuple(*SQUARE), {"x3": -0.5, "x4": PI / 2 + 0.5}),
+        (EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True), {"x2": PI + 1e-6}),
+        (EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True), {"x4": 1.0}),
+        (EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True), {"degenerate": False}),
+    ], ids=["angle-range", "angle-sum", "edge-zero", "edge-negative",
+            "degenerate-range", "degenerate-sum", "flag-cleared"])
+    def test_replace_validates_like_the_constructor(self, record, changes):
+        # _replace builds through _make, which the records route through the constructor
+        values = {**record._asdict(), **changes}
+        with pytest.raises(QuadrangleError) as built:
+            type(record)(**values)
+        with pytest.raises(QuadrangleError) as replaced:
+            record._replace(**changes)
+        assert str(replaced.value) == str(built.value)
+
+    def test_make_validates_like_the_constructor(self):
+        for values in ([1.0, 1.0, 1.0, 1.0], [PI, PI / 2, PI / 2, PI / 2]):
+            with pytest.raises(QuadrangleError) as built:
+                AngleTuple(*values)
+            with pytest.raises(QuadrangleError) as made:
+                AngleTuple._make(values)
+            assert str(made.value) == str(built.value)
+
+    @pytest.mark.parametrize("record, changes", [
+        (AngleTuple(*SQUARE), {"alpha": PI / 2 - 0.25, "gamma": PI / 2 + 0.25}),
+        (EdgeTuple(*SQUARE), {"x1": 1.0, "x3": PI - 1.0}),
+        (EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True), {"x2": 1.5, "x3": 2.5}),
+    ], ids=["angles", "edges", "degenerate"])
+    def test_valid_replace_keeps_the_class(self, record, changes):
+        new = record._replace(**changes)
+        assert type(new) is type(record)
+        assert new == type(record)(**{**record._asdict(), **changes})
+
     def test_degenerate_tuple_rejected_as_angles(self):
         e = degenerate_edges_first(PI / 2, PI / 2)
         with pytest.raises(QuadrangleError, match="must lie strictly inside"):
