@@ -11,7 +11,6 @@ from .core import (
     canonicalize,
     degenerate_edges_first,
     degenerate_edges_second,
-    prop1_fractions,
     realize_polygon,
     reflect_labels_angles,
     rotate_labels,

@@ -28,13 +28,13 @@ class QuadrangleError(ValueError):
     """Invalid input, or an operation called outside its domain of validity."""
 
 
-class AngleTuple(namedtuple("AngleTuple", "alpha beta gamma delta")):
-    """Interior angles (radians) at vertices A, B, C, D, counter-clockwise."""
+class _Validated:
+    """Named-tuple base whose constructor, _make and _replace included, runs __post_init__."""
 
     __slots__ = ()
 
-    def __new__(cls, alpha, beta, gamma, delta):
-        self = super().__new__(cls, alpha, beta, gamma, delta)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         self.__post_init__()
         return self
 
@@ -42,8 +42,14 @@ class AngleTuple(namedtuple("AngleTuple", "alpha beta gamma delta")):
     def _make(cls, iterable):
         return cls(*iterable)   # so _replace validates too
 
+
+class AngleTuple(_Validated, namedtuple("AngleTuple", "alpha beta gamma delta")):
+    """Interior angles (radians) at vertices A, B, C, D, counter-clockwise."""
+
+    __slots__ = ()
+
     def __post_init__(self):
-        for name, v in zip("alpha beta gamma delta".split(), self.as_tuple()):
+        for name, v in zip(self._fields, self):
             if not (0.0 < v < math.pi):
                 raise QuadrangleError(f"{name} = {v} must lie strictly inside (0, pi)")
         s = self.alpha + self.beta + self.gamma + self.delta
@@ -64,7 +70,8 @@ def _edge_error(x, degenerate):
         return f"edge sum {s} differs from 2*pi"
 
 
-class EdgeTuple(namedtuple("EdgeTuple", "x1 x2 x3 x4 degenerate")):
+class EdgeTuple(_Validated, namedtuple("EdgeTuple", "x1 x2 x3 x4 degenerate",
+                                         defaults=(False,))):
     """Edge lengths of DA, AB, BC, CD; perimeter fixed at 2*pi.
 
     Zero (and pi) components only occur in degenerate endpoint tuples,
@@ -73,15 +80,6 @@ class EdgeTuple(namedtuple("EdgeTuple", "x1 x2 x3 x4 degenerate")):
     """
 
     __slots__ = ()
-
-    def __new__(cls, x1, x2, x3, x4, degenerate=False):
-        self = super().__new__(cls, x1, x2, x3, x4, degenerate)
-        self.__post_init__()
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)   # so _replace validates too
 
     def __post_init__(self):
         if reason := _edge_error(self.as_tuple(), self.degenerate):
@@ -211,16 +209,6 @@ def degenerate_edges_second(gamma, delta) -> EdgeTuple:
         raise QuadrangleError("gamma + delta must not exceed pi")
     x1, x3, x4 = _triangle_edges(gamma, delta)
     return EdgeTuple(x1, 0.0, x3, x4, degenerate=True)
-
-
-def prop1_fractions(phi, psi):
-    """The two triangle-edge fractions sin(phi)/D and sin(phi+psi)/D, D the sine sum.
-
-    Both are provably < 1/2 for phi, psi > 0 with phi + psi < pi; this is
-    what keeps balanced edges inside (0, pi).
-    """
-    e_phi, _, e_sum = _triangle_edges(phi, psi)
-    return e_phi / TWO_PI, e_sum / TWO_PI
 
 
 def balanced_edges(q: AngleTuple) -> EdgeTuple:

@@ -10,7 +10,6 @@ isosceles trapezoids form an invariant family with an attracting 2-cycle.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import namedtuple
 from functools import cached_property
 
@@ -179,10 +178,8 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
     n recurs at the last test point.  The loop keeps the periods that recur
     there and, up to the next one, checks only those over the CONFIRMATIONS
     pairs ending at n, once all of them lie on the path.  A test point first
-    sorts the last P_MAX peaks: if none lies in [peak - tol, peak + tol],
-    rounded, no period recurs.  That window hides no pair: rounding is
-    monotone, so abs(peak - w) < tol in floats implies peak - tol < w <
-    peak + tol exactly, and the float w lies between the two rounded bounds.
+    compares the new peak with the last P_MAX: if none is within tol of it,
+    no period recurs.
 
     The loop validates nothing: the kernel applies AngleTuple's range and
     sum checks to each float state, and the rotation scan runs on the floats
@@ -215,9 +212,10 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
             if not periods:
                 continue
         else:
-            window = sorted(peaks[-1 - P_MAX:-1])
-            i = bisect_left(window, peak - tol)
-            if i == len(window) or window[i] > peak + tol:
+            for w in peaks[-1 - P_MAX:-1]:
+                if abs(peak - w) < tol:
+                    break
+            else:
                 periods = ()
                 continue
             periods = [p for p in range(1, min(P_MAX, n) + 1) if recurs(n, p)]

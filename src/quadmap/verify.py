@@ -11,7 +11,7 @@ import math
 from collections import namedtuple
 
 from .core import IDENTITY, ROTATIONS, TWO_PI, AngleTuple, balanced_edges, balanced_edges_oracle
-from .core import canonicalize, prop1_fractions, realize_polygon, reflect_labels_angles
+from .core import _triangle_edges, canonicalize, realize_polygon, reflect_labels_angles
 from .core import relabel_distance, rotate_labels
 from .dynamics import (
     A_STAR,
@@ -173,7 +173,10 @@ def check_property_suite() -> CheckResult:
     for _ in range(10000):
         phi = rng.uniform(1e-6, math.pi - 2e-6)
         psi = rng.uniform(1e-6, math.pi - phi - 1e-6)
-        worst = max(worst, *prop1_fractions(phi, psi))
+        e_phi, _, e_sum = _triangle_edges(phi, psi)
+        worst = max(worst, e_phi / TWO_PI, e_sum / TWO_PI)
+    # both triangle-edge fractions are < 1/2 for phi, psi > 0 with phi + psi
+    # < pi: this is what keeps balanced edges inside (0, pi)
     ok &= worst < 0.5
     details.append(f"max triangle fraction {worst:.9f}")
 

@@ -1,8 +1,9 @@
 """The names and result fields that the benchmark under perfbench/ relies on.
 
-perfbench/layertrace.py wraps functions by (module, name) and
-perfbench/run.py reads a few result fields; a deletion in the package that
-breaks either should fail here, not only when the benchmark runs.  The
+perfbench/layertrace.py wraps functions by (module, name), perfbench/run.py
+reads a few result fields, and run.py and perfbench/selftest.py read
+attributes off the imported package; a deletion in the package that breaks
+any of them should fail here, not only when the benchmark runs.  The
 benchmark files are parsed, not imported, so nothing under perfbench/ is
 executed or written.
 """
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import quadmap
 from quadmap import solvers, verify
 from quadmap.cli import build_parser
 
@@ -130,3 +132,38 @@ def test_benchmark_argvs_parse(words):
     if command == "solve":
         target = next(a for a in sub._actions if a.dest == "target")
         assert rest[0] in target.choices
+
+
+# the names the benchmark holds the imported package under
+PACKAGE_ROOTS = ("qm.", "self.qm.", "wl.qm.")
+
+
+def _package_chains():
+    """Every attribute chain read off the package in run.py and selftest.py,
+    with its root dropped: ("core", "EdgeTuple") for ``self.qm.core.EdgeTuple``.
+    A chain through a call, such as ``qm.f(x).y``, yields only ``qm.f``."""
+    chains = set()
+    for name in ("run.py", "selftest.py"):
+        for node in ast.walk(ast.parse((PERFBENCH / name).read_text())):
+            text = ast.unparse(node) if isinstance(node, ast.Attribute) else ""
+            for root in PACKAGE_ROOTS:
+                rest = text[len(root):]
+                if text.startswith(root) and rest.replace(".", "").isidentifier():
+                    chains.add(tuple(rest.split(".")))
+    return sorted(chains)
+
+
+def test_package_chains_are_found():
+    # the self-test's mutation and the cli workload's expected outputs
+    assert {("core", "degenerate_edges_first"), ("core", "EdgeTuple"),
+            ("dynamics", "GENERAL_CYCLE_ANGLES", "as_tuple"),
+            ("verify", "check_generic_convergence")} <= set(_package_chains())
+
+
+@pytest.mark.parametrize("chain", _package_chains(), ids=".".join)
+def test_package_chains_resolve(chain):
+    # run.import_quadmap returns the package after importing quadmap.cli, as
+    # this file does; a rename the benchmark still uses fails here, not in a run
+    obj = quadmap
+    for name in chain:
+        obj = getattr(obj, name)

@@ -20,6 +20,7 @@ import quadmap.cli
 import quadmap.core as core
 from quadmap.cli import fmt, main
 from quadmap.core import EdgeTuple, QuadrangleError
+from quadmap.dynamics import MATCH_TOL
 from quadmap.solvers import SolverError
 from quadmap.verify import run_all
 
@@ -226,6 +227,35 @@ def test_larger_basin_stdout_bytes_are_pinned(capsys):
     code, out = run(capsys, "basin", "--samples", "1000", "--seed", "42")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BASIN_1000_SEED_42_SHA256
+
+
+# sha256 of only the sample_id,class,iters columns of the same two runs, header
+# included: a last-digit move of a float leaves it, a changed verdict does not
+BASIN_CLASS_ITERS_SHA256 = {
+    20: "652f61eab3739f257dda4cdd4582b557a9fb58a1f8f06c7704d3b7574e6d59ce",
+    1000: "b622880199533fb05cdd5b4d7569481effea89cbf5081ed31e3c28da2a4ef041",
+}
+
+
+@pytest.mark.parametrize("samples", sorted(BASIN_CLASS_ITERS_SHA256))
+def test_basin_rows_hold_what_the_pins_mean(capsys, samples):
+    # beside each byte pin, what its bytes say: every row's class and
+    # iteration count exactly, each converged row within the detector's tol
+    # and the matching tolerance, and a summary that counts the rows
+    code, out = run(capsys, "basin", "--samples", str(samples), "--seed", "42")
+    assert code == 0
+    *table, summary = out.splitlines()
+    rows = [line.split(",") for line in table]
+    columns = "".join(f"{r[0]},{r[5]},{r[6]}\n" for r in rows)
+    assert hashlib.sha256(columns.encode()).hexdigest() == BASIN_CLASS_ITERS_SHA256[samples]
+    counts = {}
+    for r in rows[1:]:
+        counts[r[5]] = counts.get(r[5], 0) + 1
+        if r[5] != "no_convergence":
+            assert float(r[7]) < 1e-12 and float(r[8]) < MATCH_TOL, r
+    assert summary == "# summary: " + " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+    if samples == 1000:
+        assert summary == "# summary: general_2cycle=1000"
 
 
 def test_readme_iterate_csv_bytes_are_pinned(capsys, tmp_path):
@@ -547,8 +577,8 @@ def test_public_surface_is_pinned():
         "SolverError", "StabilityReport", "Trajectory", "balanced_edges",
         "balanced_edges_oracle", "c_map", "canonicalize", "core", "cycle_system_rhs",
         "degenerate_edges_first", "degenerate_edges_second", "dihedral_distance",
-        "dynamics", "eigenvalue_moduli_3x3", "fd_jacobian", "iterate", "prop1_fractions",
-        "realize_polygon", "reflect_labels_angles", "rotate_labels", "rotation_distance",
+        "dynamics", "eigenvalue_moduli_3x3", "fd_jacobian", "iterate", "realize_polygon",
+        "reflect_labels_angles", "rotate_labels", "rotation_distance",
         "solve_cycle_system", "solve_trapezoid_fixed_point", "solvers", "stability_report",
         "step", "trapezoid_angles", "trapezoid_edges",
     ]
@@ -592,7 +622,7 @@ def test_numpy_stays_out_of_the_cold_path(tmp_path):
 
 COLD_IMPORTS = """
 import sys
-import argparse, json, collections, functools, math, bisect
+import argparse, json, collections, functools, math
 baseline = set(sys.modules)
 import quadmap.cli
 print(sorted({"dataclasses", "inspect", "typing"} & (set(sys.modules) - baseline)))
@@ -611,6 +641,26 @@ def test_cold_import_loads_no_dataclasses_or_inspect():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_module_entry_point_answers_as_main(capsys):
+    # the cli benchmark spawns `python -m quadmap.cli`; each run here is a
+    # fresh process through that entry point, with its exit code and streams
+    src = Path(__file__).resolve().parent.parent / "src"
+    angles = "1.2,2.1,1.5,1.4831853071795865"
+
+    def spawn(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "quadmap.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60)
+
+    ok = spawn("step", "--angles", angles, "--json")
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert ok.stdout == run(capsys, "step", "--angles", angles, "--json")[1]
+    bad = spawn("step", "--angles", "1,1,1,1")
+    assert bad.returncode == 2 and bad.stderr.startswith("error:")
+    assert spawn("cycle", "--angles", angles, "--max-iter", "5").returncode == 3
 
 
 WITHOUT_NUMPY = """

@@ -15,7 +15,6 @@ from quadmap.core import (
     canonicalize,
     degenerate_edges_first,
     degenerate_edges_second,
-    prop1_fractions,
     realize_polygon,
     reflect_labels_angles,
     relabel_distance,
@@ -535,12 +534,13 @@ def test_prop1_fractions_below_half(phi, frac):
     # the strict bound only degrades to rounding-level equality in the
     # degenerate limits psi -> 0 and psi -> pi - phi, kept away from here
     psi = frac * (PI - phi)
-    f1, f2 = prop1_fractions(phi, psi)
+    # the edges opposite phi and the third angle, as fractions of the perimeter
+    f1, f2 = (e / TWO_PI for e in core._triangle_edges(phi, psi)[0::2])
     assert f1 < 0.5
     assert f2 < 0.5
 
 
 def test_prop1_fraction_values():
-    f1, f2 = prop1_fractions(PI / 3, PI / 3)
+    f1, f2 = (e / TWO_PI for e in core._triangle_edges(PI / 3, PI / 3)[0::2])
     assert f1 == pytest.approx(1.0 / 3.0)
     assert f2 == pytest.approx(1.0 / 3.0)

@@ -305,13 +305,13 @@ def _cut_cases():
 
 
 COARSE_TOLS = (1e-6, 1e-3, 0.1)
-# a subnormal and a tiny normal tol, at which peak +- tol rounds to peak,
-# and one at which the window's bounds span every peak
+# a subnormal and a tiny normal tol, which only equal peaks pass, and one
+# which every peak difference passes
 EXTREME_TOLS = (5e-324, 1e-300, 1e308)
 
 
 def _extreme_cases():
-    # the tolerances at the edges of the peak window's rounding argument
+    # the tolerances at the two ends of the peak test
     starts = [("sample0", sample_angle_tuple(substream(2024, 0))),
               ("trapezoid0.300", trapezoid_angles(0.3))]
     return [pytest.param(q0, {"tol": tol}, id=f"{name}-tol{tol:g}")
@@ -385,7 +385,7 @@ def _recurring(path, n, tol):
 def test_peak_window_hides_no_pair(monkeypatch, q0, kwargs):
     # the rotation scan sees only pairs whose peaks differ by less than tol.
     # At every test point it sees each period that recurs there, so the
-    # sorted peak window hides no pair.  Between test points it sees only
+    # peak test at a test point hides no pair.  Between test points it sees only
     # periods that recur at the test point just before or just after
     tol = kwargs.get("tol", 1e-12)
     calls = []
