@@ -55,10 +55,18 @@ class PCG64:
         return (x >> rot | x << (64 - rot)) & _M64
 
     def uniform(self, lo, hi, size=None):
-        """One double in [lo, hi), or a list of ``size``, as numpy draws them."""
+        """One double in [lo, hi), or a list of ``size``, as numpy draws them; _next64 inline."""
         if size is None:
-            return lo + (hi - lo) * ((self._next64() >> 11) * 2.0 ** -53)
-        return [self.uniform(lo, hi) for _ in range(size)]
+            self._state = s = (self._state * _MULT + self._inc) & _M128
+            x, rot = (s >> 64 ^ s) & _M64, s >> 122
+            return lo + (hi - lo) * ((((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0 ** -53)
+        s, inc, span, out = self._state, self._inc, hi - lo, []
+        for _ in range(size):
+            s = (s * _MULT + inc) & _M128
+            x, rot = (s >> 64 ^ s) & _M64, s >> 122
+            out.append(lo + span * ((((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0 ** -53))
+        self._state = s
+        return out
 
     def integers(self, n):
         """An int in [0, n) for 1 < n < 2**32: Lemire's bound on buffered 32-bit halves."""

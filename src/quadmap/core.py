@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from math import sin
+from math import pi, sin
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,18 +29,16 @@ class QuadrangleError(ValueError):
 
 
 class _Validated:
-    """Named-tuple base whose constructor, _make and _replace included, runs __post_init__."""
+    """Named-tuple base: as_tuple() is the first four items, and _make (so _replace) calls cls."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self.__post_init__()
-        return self
-
     @classmethod
     def _make(cls, iterable):
-        return cls(*iterable)   # so _replace validates too
+        return cls(*iterable)
+
+    def as_tuple(self):
+        return self[:4]
 
 
 class AngleTuple(_Validated, namedtuple("AngleTuple", "alpha beta gamma delta")):
@@ -48,30 +46,33 @@ class AngleTuple(_Validated, namedtuple("AngleTuple", "alpha beta gamma delta"))
 
     __slots__ = ()
 
+    def __new__(cls, alpha, beta, gamma, delta):
+        self = tuple.__new__(cls, (alpha, beta, gamma, delta))
+        self.__post_init__()
+        return self
+
     def __post_init__(self):
-        for name, v in zip(self._fields, self):
-            if not (0.0 < v < math.pi):
-                raise QuadrangleError(f"{name} = {v} must lie strictly inside (0, pi)")
-        s = self.alpha + self.beta + self.gamma + self.delta
-        if abs(s - TWO_PI) > SUM_TOL:
-            raise QuadrangleError(f"angle sum {s} differs from 2*pi")
-
-    def as_tuple(self):
-        return (self.alpha, self.beta, self.gamma, self.delta)
+        a, b, g, d = self
+        if not (0.0 < a < pi and 0.0 < b < pi and 0.0 < g < pi and 0.0 < d < pi
+                and not abs(a + b + g + d - TWO_PI) > SUM_TOL):
+            for name, v in zip(self._fields, self):
+                if not (0.0 < v < pi):
+                    raise QuadrangleError(f"{name} = {v} must lie strictly inside (0, pi)")
+            raise QuadrangleError(f"angle sum {a + b + g + d} differs from 2*pi")
 
 
-def _edge_error(x, degenerate):
-    """EdgeTuple's message for the edge 4-tuple x, or None; the float kernel raises it too."""
-    for i, v in enumerate(x, start=1):
-        if not (0.0 <= v < _HI if degenerate else 0.0 < v < math.pi):
-            return f"x{i} = {v} outside allowed edge range"
-    s = x[0] + x[1] + x[2] + x[3]
-    if abs(s - TWO_PI) > SUM_TOL:
-        return f"edge sum {s} differs from 2*pi"
+def _edge_error(x1, x2, x3, x4, degenerate):
+    """EdgeTuple's message for the edges x1..x4, or None; the float kernel raises it too."""
+    if not (0.0 <= x1 < _HI and 0.0 <= x2 < _HI and 0.0 <= x3 < _HI and 0.0 <= x4 < _HI
+            if degenerate else 0.0 < x1 < pi and 0.0 < x2 < pi and 0.0 < x3 < pi and 0.0 < x4 < pi
+            ) or abs(x1 + x2 + x3 + x4 - TWO_PI) > SUM_TOL:
+        for i, v in enumerate((x1, x2, x3, x4), start=1):
+            if not (0.0 <= v < _HI if degenerate else 0.0 < v < pi):
+                return f"x{i} = {v} outside allowed edge range"
+        return f"edge sum {x1 + x2 + x3 + x4} differs from 2*pi"
 
 
-class EdgeTuple(_Validated, namedtuple("EdgeTuple", "x1 x2 x3 x4 degenerate",
-                                         defaults=(False,))):
+class EdgeTuple(_Validated, namedtuple("EdgeTuple", "x1 x2 x3 x4 degenerate")):
     """Edge lengths of DA, AB, BC, CD; perimeter fixed at 2*pi.
 
     Zero (and pi) components only occur in degenerate endpoint tuples,
@@ -81,12 +82,14 @@ class EdgeTuple(_Validated, namedtuple("EdgeTuple", "x1 x2 x3 x4 degenerate",
 
     __slots__ = ()
 
-    def __post_init__(self):
-        if reason := _edge_error(self.as_tuple(), self.degenerate):
-            raise QuadrangleError(reason)
+    def __new__(cls, x1, x2, x3, x4, degenerate=False):
+        self = tuple.__new__(cls, (x1, x2, x3, x4, degenerate))
+        self.__post_init__()
+        return self
 
-    def as_tuple(self):
-        return (self.x1, self.x2, self.x3, self.x4)
+    def __post_init__(self):
+        if reason := _edge_error(*self):
+            raise QuadrangleError(reason)
 
 
 class FeasibleSegment(namedtuple("FeasibleSegment", "base direction t_min t_max")):
@@ -220,9 +223,9 @@ def balanced_edges(q: AngleTuple) -> EdgeTuple:
     t = q.as_tuple()
     r = _canonical_shift(t)
     a, g, d = t[r], t[r - 2], t[r - 1]
-    first = degenerate_edges_first(a, d).as_tuple()
-    second = degenerate_edges_second(g, d).as_tuple()
-    mid = tuple((u + v) / 2.0 for u, v in zip(first, second))
+    f1, f2, f3, f4, _ = degenerate_edges_first(a, d)
+    s1, s2, s3, s4, _ = degenerate_edges_second(g, d)
+    mid = ((f1 + s1) / 2.0, (f2 + s2) / 2.0, (f3 + s3) / 2.0, (f4 + s4) / 2.0)
     return EdgeTuple(*(mid[-r:] + mid[:-r]))
 
 
@@ -244,7 +247,7 @@ def _balanced_edge_floats(q):
     x4f, x2f, x1f = TWO_PI * s_a / den, TWO_PI * s_d / den, TWO_PI * s_ad / den
     if not (0.0 <= x1f < _HI and 0.0 <= x2f < _HI and 0.0 <= x4f < _HI
             and abs(x1f + x2f + x4f - TWO_PI) <= SUM_TOL):
-        raise QuadrangleError(_edge_error((x1f, x2f, 0.0, x4f), True))
+        raise QuadrangleError(_edge_error(x1f, x2f, 0.0, x4f, True))
     s_g, s_gd = sin(g), sin(g + d)
     if -_EDGE_SLACK < s_gd < 0.0:
         s_gd = 0.0
@@ -252,7 +255,7 @@ def _balanced_edge_floats(q):
     x1s, x3s, x4s = TWO_PI * s_g / den, TWO_PI * s_d / den, TWO_PI * s_gd / den
     if not (0.0 <= x1s < _HI and 0.0 <= x3s < _HI and 0.0 <= x4s < _HI
             and abs(x1s + x3s + x4s - TWO_PI) <= SUM_TOL):
-        raise QuadrangleError(_edge_error((x1s, 0.0, x3s, x4s), True))
+        raise QuadrangleError(_edge_error(x1s, 0.0, x3s, x4s, True))
     # the midpoint, rotated back as balanced_edges' mid[-r:] + mid[:-r]
     m1, m2, m3, m4 = (x1f + x1s) / 2.0, (x2f + 0.0) / 2.0, (0.0 + x3s) / 2.0, (x4f + x4s) / 2.0
     if r == 0:
@@ -265,7 +268,7 @@ def _balanced_edge_floats(q):
         o1, o2, o3, o4 = m2, m3, m4, m1
     if not (0.0 < o1 < math.pi and 0.0 < o2 < math.pi and 0.0 < o3 < math.pi
             and 0.0 < o4 < math.pi and abs(o1 + o2 + o3 + o4 - TWO_PI) <= SUM_TOL):
-        raise QuadrangleError(_edge_error((o1, o2, o3, o4), False))
+        raise QuadrangleError(_edge_error(o1, o2, o3, o4, False))
     return o1, o2, o3, o4
 
 

@@ -19,12 +19,12 @@ def sample_angle_tuple(rng, margin: float = DEFAULT_MARGIN) -> AngleTuple:
         raise QuadrangleError(f"margin {margin} must lie in [0, pi/2)")
     lo, hi = margin, math.pi - margin
     while True:
-        a, b, c, d = (float(x) for x in rng.uniform(lo, hi, 4))
+        a, b, c, d = map(float, rng.uniform(lo, hi, 4))
         # numpy's sum order for four doubles, so numpy Generators give the same tuples
         s = TWO_PI / (((a + b) + c) + d)
-        scaled = (a * s, b * s, c * s, d * s)
-        if all(lo < v < hi for v in scaled):
-            return AngleTuple(*scaled)
+        a, b, c, d = a * s, b * s, c * s, d * s
+        if lo < a < hi and lo < b < hi and lo < c < hi and lo < d < hi:
+            return AngleTuple(a, b, c, d)
 
 
 def substream(seed: int, sample_id: int) -> PCG64:

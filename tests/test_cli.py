@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import signal
 import subprocess
 import sys
@@ -20,7 +21,15 @@ import quadmap.cli
 import quadmap.core as core
 from quadmap.cli import fmt, main
 from quadmap.core import EdgeTuple, QuadrangleError
-from quadmap.dynamics import MATCH_TOL
+from quadmap.dynamics import (
+    A_STAR,
+    GENERAL_CYCLE_ANGLES,
+    MATCH_TOL,
+    RHO_CYCLE,
+    RHO_SQUARE,
+    SLOPE_AT_A_STAR,
+    dihedral_distance,
+)
 from quadmap.solvers import SolverError
 from quadmap.verify import run_all
 
@@ -278,6 +287,98 @@ def test_verify_json_bytes_are_pinned(capsys):
     code, out = run(capsys, "verify", "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256
+
+
+# the README iterate example's last state, and how many ulps each angle may
+# move from it: with each sine of the kernel scaled by 1 or 1 +- 4*2**-53 at
+# random, it moved by at most 16 ulp over three trials (48 at 1 +- 8*2**-53),
+# and the orbit kept its 332 iterations
+README_ITERATE_LAST = (1.5481930524923957, 1.4957808392494658,
+                       1.415159530314595, 1.8240518851231302)
+README_ITERATE_ULPS = 64
+
+
+def test_readme_iterate_csv_holds_what_the_pin_means(capsys, tmp_path):
+    angles = "1.2,2.1,1.5,1.4831853071795865"
+    path = tmp_path / "traj.csv"
+    code, _ = run(capsys, "iterate", "--angles", angles, "--out", str(path))
+    assert code == 0
+    header, *rows = path.read_text().splitlines()
+    assert header == "iter,alpha,beta,gamma,delta"
+    # the start row is the input, exactly, and one row follows per iteration
+    assert rows[0] == "0," + ",".join(fmt(float(v)) for v in angles.split(","))
+    assert [float(v) for v in rows[0].split(",")[1:]] == [float(v) for v in angles.split(",")]
+    assert [int(r.split(",")[0]) for r in rows] == list(range(333))
+    last = [float(v) for v in rows[-1].split(",")[1:]]
+    ulps = max(abs(a - b) / math.ulp(b) for a, b in zip(last, README_ITERATE_LAST))
+    assert ulps <= README_ITERATE_ULPS, ulps
+    # and that state lies on the published generic 2-cycle, up to relabeling
+    assert dihedral_distance(last, GENERAL_CYCLE_ANGLES) < 1e-11
+
+
+def test_readme_solve_cycle_holds_what_the_pin_means(capsys):
+    code, out = run(capsys, "solve", "cycle")
+    assert code == 0
+    payload = json.loads(out)
+    angles = [payload[k] for k in ("alpha", "beta", "gamma", "delta")]
+    assert all(fmt(float(v)) == v for v in angles)
+    assert max(abs(float(v) - g) for v, g in zip(angles, GENERAL_CYCLE_ANGLES)) <= 1e-14
+    assert float(payload["residual"]) <= 1e-12
+    assert payload["iterations"] == 3
+    assert payload["provenance"] == "initial guess from 51 map iterations of a generic seed"
+
+
+# each verify --json detail, parsed, with every number in it held to the gate
+# verify.py states for it; names are in CHECKS order.  A drifted number or a
+# loosened gate in verify.py fails here, whatever the check's own verdict
+_NUM = r"(-?\d+\.\d+(?:e[+-]\d+)?)"
+VERIFY_DETAIL_GATES = {
+    "square fixed point": (rf"sup deviation {_NUM}", lambda d: d <= 1e-12),
+    "trapezoid fixed point a*": (
+        rf"a\* = {_NUM}, \|a\* - paper\| = {_NUM}",
+        lambda a, err: abs(a - A_STAR) <= 2 * math.ulp(A_STAR)
+        and err == float(f"{abs(a - A_STAR):.3e}")),
+    "submap slope at a*": (rf"c'\(a\*\) = {_NUM}", lambda s: abs(s - SLOPE_AT_A_STAR) <= 1e-3),
+    "submap boundary values": (
+        rf"\|c\(pi/2\)-pi/2\| = {_NUM}, limit error at 0 = {_NUM}, "
+        rf"\|c\(a\) - min f\^2\(trapezoid\)\| = {_NUM}",
+        lambda e1, e2, e3: e1 <= 1e-12 and e2 <= 1e-12 and e3 <= 1e-14),
+    "general 2-cycle angles": (
+        rf"max \|angle - paper\| = {_NUM}, residual at paper values = {_NUM}",
+        lambda err, residual: err <= 1e-14 and residual < 1e-14),
+    "cycle mirror dynamics": (
+        rf"\|step\(q\*\) - mirror\(q\*\)\| = {_NUM}, quotient \|step\^2\(q\*\) - q\*\| = {_NUM}",
+        lambda d1, d2: d1 <= 1e-14 and d2 <= 1e-14),
+    "generic convergence experiment": (
+        r"(\d+)/(\d+) general_2cycle(?:; counterexamples .*)?",
+        lambda hits, samples: samples == 100 and hits / samples >= 0.99),
+    "trapezoid basin": (rf"worst distance to displayed pair {_NUM}", lambda d: d < 1e-10),
+    "closure-oracle equivalence": (
+        rf"worst midpoint gap {_NUM}, worst closure gap {_NUM}",
+        lambda mid, gap: mid <= 1e-10 and gap <= 1e-9),
+    "balanced-edge property suite": (
+        rf"max triangle fraction {_NUM}; canonical x2,x3 excess {_NUM}; "
+        rf"max components > pi/2: (\d+); equivariance {_NUM}, sum {_NUM}",
+        lambda frac, excess, over, equi, total: frac < 0.5 and excess <= 1e-12
+        and over <= 2 and equi <= 1e-10 and total <= 1e-9),
+    "stability spectra": (
+        rf"rho\(square, f\) = {_NUM}, rho\(cycle, f\^2\) = {_NUM}, "
+        rf"max \|relation derivative\| = {_NUM}",
+        lambda rho_square, rho_cycle, entry: abs(rho_square - RHO_SQUARE) <= 1e-4
+        and abs(rho_cycle - RHO_CYCLE) <= 1e-4 and entry > 1.0),
+}
+
+
+def test_verify_json_holds_what_the_pin_means(capsys):
+    code, out = run(capsys, "verify", "--json")
+    results = json.loads(out)
+    assert [r["name"] for r in results] == list(VERIFY_DETAIL_GATES)
+    for r in results:
+        pattern, gate = VERIFY_DETAIL_GATES[r["name"]]
+        match = re.fullmatch(pattern, r["detail"])
+        assert r["passed"] is True and match, r
+        assert gate(*map(float, match.groups())), r
+    assert code == 0
 
 
 def test_readme_library_example_runs(capsys):

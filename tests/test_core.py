@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -92,6 +93,138 @@ class TestValidation:
         e = degenerate_edges_first(PI / 2, PI / 2)
         with pytest.raises(QuadrangleError, match="must lie strictly inside"):
             AngleTuple(*e.as_tuple())
+
+    def test_constructors_name_the_fields(self):
+        assert str(inspect.signature(AngleTuple)) == "(alpha, beta, gamma, delta)"
+        assert str(inspect.signature(EdgeTuple)) == "(x1, x2, x3, x4, degenerate=False)"
+
+    @pytest.mark.parametrize("build", [
+        lambda: AngleTuple(*SQUARE[:3]),
+        lambda: AngleTuple(*SQUARE, 0.0),
+        lambda: AngleTuple._make(SQUARE[:3]),
+        lambda: EdgeTuple(*SQUARE[:3]),
+        lambda: EdgeTuple(*SQUARE, False, 0.0),
+        lambda: EdgeTuple._make((*SQUARE, False, 0.0)),
+    ], ids=["angles-3", "angles-5", "angles-make-3", "edges-3", "edges-6", "edges-make-6"])
+    def test_wrong_arity_is_a_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    @pytest.mark.parametrize("form", ["positional", "keyword", "make", "replace"])
+    @pytest.mark.parametrize("record", [
+        AngleTuple(*SQUARE),
+        EdgeTuple(*SQUARE),
+        EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True),
+    ], ids=["angles", "edges", "degenerate"])
+    def test_every_form_validates_once(self, monkeypatch, record, form):
+        # __post_init__ is the one validator, in the class's own __dict__
+        # (the layer tracer wraps it there), and each build runs it once
+        cls = type(record)
+        validate = vars(cls)["__post_init__"]
+        seen = []
+        monkeypatch.setattr(cls, "__post_init__", lambda self: seen.append(self) or validate(self))
+        built = {
+            "positional": lambda: cls(*record),
+            "keyword": lambda: cls(**record._asdict()),
+            "make": lambda: cls._make(record),
+            "replace": lambda: record._replace(**{cls._fields[1]: record[1]}),
+        }[form]()
+        assert type(built) is cls and built == record
+        assert seen == [record]
+
+
+# the validators as they ran before they tested acceptance first, written
+# out as the reference: each component's range check in order, then the
+# sum check, building the message of the first that fails
+def _reference_angle_error(values):
+    for name, v in zip(("alpha", "beta", "gamma", "delta"), values):
+        if not (0.0 < v < PI):
+            return f"{name} = {v} must lie strictly inside (0, pi)"
+    s = values[0] + values[1] + values[2] + values[3]
+    if abs(s - TWO_PI) > core.SUM_TOL:
+        return f"angle sum {s} differs from 2*pi"
+
+
+def _reference_edge_error(values, degenerate):
+    for i, v in enumerate(values, start=1):
+        if not (0.0 <= v < core._HI if degenerate else 0.0 < v < PI):
+            return f"x{i} = {v} outside allowed edge range"
+    s = values[0] + values[1] + values[2] + values[3]
+    if abs(s - TWO_PI) > core.SUM_TOL:
+        return f"edge sum {s} differs from 2*pi"
+
+
+def _ulp_neighbours(*xs):
+    return [y for x in xs for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+
+
+# components on and next to every bound either validator tests
+_BOUNDS = [-0.0, *_ulp_neighbours(0.0, PI, core._HI)]
+_COMPONENTS = [
+    # ordinary and non-finite floats
+    st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, *_BOUNDS]),
+              st.floats(-0.5, 3.7), st.floats(allow_nan=True, allow_infinity=True)),
+    # in range, or on a bound, so that a closed sum leaves the rest valid
+    st.one_of(st.floats(0.3, 2.0), st.sampled_from(_BOUNDS)),
+]
+# the default SUM_TOL, and 2**-30: a float sum near 2*pi can miss it by
+# exactly the latter (a multiple of its ulp), never by exactly 1e-9
+_SUM_TOLS = [core.SUM_TOL, 2.0 ** -30]
+
+
+@st.composite
+def _records(draw):
+    """(sum_tol, four components), the fourth free or closing the sum on or
+    next to 2*pi or 2*pi +- sum_tol."""
+    sum_tol = draw(st.sampled_from(_SUM_TOLS))
+    component = draw(st.sampled_from(_COMPONENTS))
+    a, b, c = draw(component), draw(component), draw(component)
+    if draw(st.booleans()):
+        return sum_tol, (a, b, c, draw(component))
+    target = draw(st.sampled_from(_ulp_neighbours(TWO_PI - sum_tol, TWO_PI, TWO_PI + sum_tol)))
+    return sum_tol, (a, b, c, target - ((a + b) + c))
+
+
+def _rejection(build, values):
+    """The message of the QuadrangleError build(*values) raises, or None."""
+    try:
+        build(*values)
+    except QuadrangleError as exc:
+        return str(exc)
+
+
+def _assert_records_match_the_message_loop(values):
+    # the float kernel raises core._edge_error's message, so it is held too
+    assert _rejection(AngleTuple, values) == _reference_angle_error(values)
+    for degenerate in (False, True):
+        reason = _reference_edge_error(values, degenerate)
+        assert core._edge_error(*values, degenerate) == reason
+        assert _rejection(lambda *v: EdgeTuple(*v, degenerate=degenerate), values) == reason
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=_records())
+def test_records_accept_exactly_what_the_message_loop_accepts(record):
+    sum_tol, values = record
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "SUM_TOL", sum_tol)
+        _assert_records_match_the_message_loop(values)
+
+
+@pytest.mark.parametrize("sum_tol", _SUM_TOLS)
+def test_records_on_every_bound_match_the_message_loop(monkeypatch, sum_tol):
+    # each bound value in each position, the other three closing the sum on
+    # or next to 2*pi or 2*pi +- sum_tol: the cases a random draw rarely hits
+    monkeypatch.setattr(core, "SUM_TOL", sum_tol)
+    for target in _ulp_neighbours(TWO_PI - sum_tol, TWO_PI, TWO_PI + sum_tol):
+        for v in _BOUNDS:
+            rest = (target - v) / 3.0
+            for i in range(4):
+                values = [rest] * 4
+                values[i] = v
+                j = 2 if i == 3 else 3   # closes the sum
+                values[j] = target - sum(x for k, x in enumerate(values) if k != j)
+                _assert_records_match_the_message_loop(tuple(values))
 
 
 class TestCanonicalize:

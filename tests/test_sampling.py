@@ -46,6 +46,34 @@ def test_mixed_uniform_and_integers_match_numpy(seed):
             assert mine.integers(4) == ref.integers(4)
 
 
+@pytest.mark.parametrize("seed", [0, 42, 2**64 + 3])
+@pytest.mark.parametrize("size", [0, 1, 4, 12])
+def test_batched_draws_equal_scalar_draws(seed, size):
+    # the sized form steps a local copy of the state and stores it once; it
+    # must give the scalar form's doubles and leave the stream where they do
+    batched, scalar, ref = PCG64(seed), PCG64(seed), np.random.default_rng(seed)
+    got = batched.uniform(0.05, math.pi - 0.05, size)
+    assert type(got) is list and all(type(x) is float for x in got)
+    assert got == [scalar.uniform(0.05, math.pi - 0.05) for _ in range(size)]
+    assert got == ref.uniform(0.05, math.pi - 0.05, size).tolist()
+    assert batched.uniform(-1.0, 1.0, 3) == scalar.uniform(-1.0, 1.0, 3) == \
+        ref.uniform(-1.0, 1.0, 3).tolist()
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+@pytest.mark.parametrize("size", [0, 1, 4])
+def test_sized_draw_leaves_the_buffered_half(seed, size):
+    # integers(4) never rejects, so its first call draws 64 bits and keeps
+    # the upper half; a sized uniform draw in between must not touch it
+    mine, ref = PCG64(seed), np.random.default_rng(seed)
+    assert mine.integers(4) == ref.integers(4)
+    half = mine._half
+    assert half is not None
+    assert mine.uniform(1e-6, math.pi, size) == ref.uniform(1e-6, math.pi, size).tolist()
+    assert mine._half == half
+    assert [mine.integers(4) for _ in range(5)] == ref.integers(4, size=5).tolist()
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 1000, 2**31 + 1, 2**32 - 1])
 def test_integers_match_numpy_on_other_bounds(n):
     mine, ref = PCG64(n), np.random.default_rng(n)
