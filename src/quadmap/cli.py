@@ -79,7 +79,7 @@ def cmd_step(args) -> tuple[int, str]:
     if args.json:
         return EXIT_OK, _json(_angles_json(out))
     return EXIT_OK, ("alpha,beta,gamma,delta\n"
-                     + ",".join(fmt(v) for v in out.as_tuple()) + "\n")
+                     + ",".join(fmt(v) for v in out) + "\n")
 
 
 def cmd_iterate(args) -> tuple[int, str]:
@@ -133,7 +133,7 @@ def cmd_basin(args) -> tuple[int, str]:
         match = traj.cycle.match_distance if traj.cycle else math.inf
         lines.append(",".join([
             str(i),
-            *(fmt(v) for v in q0.as_tuple()),
+            *(fmt(v) for v in q0),
             cls,
             str(len(traj.path) - 1),
             fmt(traj.residual),

@@ -29,7 +29,7 @@ class QuadrangleError(ValueError):
 
 
 class _Validated:
-    """Named-tuple base: as_tuple() is the first four items, and _make (so _replace) calls cls."""
+    """Named-tuple base: as_tuple() is tuple(self), and _make (so _replace) calls cls."""
 
     __slots__ = ()
 
@@ -38,7 +38,7 @@ class _Validated:
         return cls(*iterable)
 
     def as_tuple(self):
-        return self[:4]
+        return tuple(self)
 
 
 class AngleTuple(_Validated, namedtuple("AngleTuple", "alpha beta gamma delta")):
@@ -72,23 +72,23 @@ def _edge_error(x1, x2, x3, x4, degenerate):
         return f"edge sum {x1 + x2 + x3 + x4} differs from 2*pi"
 
 
-class EdgeTuple(_Validated, namedtuple("EdgeTuple", "x1 x2 x3 x4 degenerate")):
+class EdgeTuple(_Validated, namedtuple("EdgeTuple", "x1 x2 x3 x4")):
     """Edge lengths of DA, AB, BC, CD; perimeter fixed at 2*pi.
 
-    Zero (and pi) components only occur in degenerate endpoint tuples,
-    which carry the ``degenerate`` flag.  It is the fifth item, so
-    as_tuple(), not iteration, gives the four edges.
+    Zero (and pi) components only occur in degenerate endpoint tuples.
+    ``degenerate=True`` is a constructor keyword that admits them; the
+    record does not store it, so _make and _replace apply the strict rule.
     """
 
     __slots__ = ()
 
     def __new__(cls, x1, x2, x3, x4, degenerate=False):
-        self = tuple.__new__(cls, (x1, x2, x3, x4, degenerate))
-        self.__post_init__()
+        self = tuple.__new__(cls, (x1, x2, x3, x4))
+        self.__post_init__(degenerate)
         return self
 
-    def __post_init__(self):
-        if reason := _edge_error(*self):
+    def __post_init__(self, degenerate=False):
+        if reason := _edge_error(*self, degenerate):
             raise QuadrangleError(reason)
 
 
@@ -108,14 +108,9 @@ class PlanarPolygon(namedtuple("PlanarPolygon", "vertices closure_gap")):
     __slots__ = ()
 
 
-def _components(t):
-    """The components of an angle or edge tuple, or of a plain 4-sequence, as a tuple."""
-    return t.as_tuple() if hasattr(t, "as_tuple") else tuple(t)
-
-
 def rotate_labels(t, k):
     """Cyclic shift of a 4-tuple by k positions: (t[k], t[k+1], ...)."""
-    seq = _components(t)
+    seq = tuple(t)
     k %= 4
     return seq[k:] + seq[:k]
 
@@ -134,10 +129,9 @@ def relabel_distance(p, q, group) -> float:
     p and q are angle or edge tuples or float 4-tuples; group is an index
     table such as IDENTITY (plain sup norm), ROTATIONS or DIHEDRAL.
     """
-    p0, p1, p2, p3 = _components(p)
-    qt = _components(q)
-    return min([max(abs(p0 - qt[i]), abs(p1 - qt[j]),
-                    abs(p2 - qt[k]), abs(p3 - qt[m])) for i, j, k, m in group])
+    p0, p1, p2, p3 = p
+    return min([max(abs(p0 - q[i]), abs(p1 - q[j]),
+                    abs(p2 - q[k]), abs(p3 - q[m])) for i, j, k, m in group])
 
 
 def reflect_labels_angles(q: AngleTuple) -> AngleTuple:
@@ -170,7 +164,7 @@ def canonicalize(q: AngleTuple) -> AngleTuple:
     s2+s4 = 2*pi, which forces a vertex whose two adjacent sums are both
     <= pi.  Boundary equalities are admitted within _EDGE_SLACK.
     """
-    return AngleTuple(*rotate_labels(q, _canonical_shift(q.as_tuple())))
+    return AngleTuple(*rotate_labels(q, _canonical_shift(q)))
 
 
 def _triangle_edges(phi, psi):
@@ -220,17 +214,16 @@ def balanced_edges(q: AngleTuple) -> EdgeTuple:
     Builds the endpoints in the canonical labeling and rotates the result
     back to the input labeling, so the construction is rotation-equivariant.
     """
-    t = q.as_tuple()
-    r = _canonical_shift(t)
-    a, g, d = t[r], t[r - 2], t[r - 1]
-    f1, f2, f3, f4, _ = degenerate_edges_first(a, d)
-    s1, s2, s3, s4, _ = degenerate_edges_second(g, d)
+    r = _canonical_shift(q)
+    a, g, d = q[r], q[r - 2], q[r - 1]
+    f1, f2, f3, f4 = degenerate_edges_first(a, d)
+    s1, s2, s3, s4 = degenerate_edges_second(g, d)
     mid = ((f1 + s1) / 2.0, (f2 + s2) / 2.0, (f3 + s3) / 2.0, (f4 + s4) / 2.0)
     return EdgeTuple(*(mid[-r:] + mid[:-r]))
 
 
 def _balanced_edge_floats(q):
-    """step(AngleTuple(*q)).as_tuple() on plain floats, for q a valid angle 4-tuple.
+    """tuple(step(AngleTuple(*q))) on plain floats, for q a valid angle 4-tuple.
 
     Same operations in the same order as balanced_edges, so bitwise equal.  One pass
     with no helper call: both endpoint triangles are _triangle_edges inline, from five
@@ -329,7 +322,7 @@ def realize_polygon(q: AngleTuple, e: EdgeTuple) -> PlanarPolygon:
     headings = _edge_headings(q)
     x, y = 0.0, 0.0
     vertices = [(x, y)]
-    for length, h in zip(e.as_tuple(), headings):
+    for length, h in zip(e, headings):
         x += length * math.cos(h)
         y += length * math.sin(h)
         vertices.append((x, y))

@@ -85,7 +85,7 @@ class Trajectory(namedtuple("Trajectory", "path cycle")):
 
 def step(q: AngleTuple) -> AngleTuple:
     """One application of the map: new angles are the balanced edge lengths of q."""
-    return AngleTuple(*balanced_edges(q).as_tuple())
+    return AngleTuple(*balanced_edges(q))
 
 
 def c_map(a: float) -> float:
@@ -192,7 +192,7 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
         raise QuadrangleError("max_iter must be >= 1")
     if not 0.0 < tol < math.inf:   # a NaN tol fails here too
         raise QuadrangleError("tol must be positive and finite")
-    q = q0.as_tuple()
+    q = tuple(q0)
     path = [q]
     peaks = [max(q)]
     periods = ()   # the periods that recur at the last test point

@@ -75,7 +75,7 @@ def check_boundary_values() -> CheckResult:
     e2 = abs(c_map(1e-4) - C_AT_ZERO)
     # the closed form against the full map: f^2 of the trapezoid state at a
     # relabels the one at c(a) <= pi/2, so its least angle is c(a)
-    e3 = max(abs(min(step(step(trapezoid_angles(a))).as_tuple()) - c_map(a))
+    e3 = max(abs(min(step(step(trapezoid_angles(a)))) - c_map(a))
              for a in (0.01, 0.1, 0.5, 1.0, 1.4, 1.5))
     ok = e1 <= 1e-12 and e2 <= 1e-12 and e3 <= 1e-14
     return CheckResult(
@@ -90,7 +90,7 @@ def check_general_cycle_solution() -> CheckResult:
     result = solve_cycle_system(tol=1e-12)
     sol = result.solution
     got = (sol.alpha, sol.beta, sol.gamma, sol.delta)
-    err = max(abs(a - b) for a, b in zip(got, GENERAL_CYCLE_ANGLES.as_tuple()))
+    err = max(abs(a - b) for a, b in zip(got, GENERAL_CYCLE_ANGLES))
     p = ChartPoint.from_angles(GENERAL_CYCLE_ANGLES)
     r = cycle_system_rhs(p)
     residual = max(abs(r.alpha - p.alpha), abs(r.gamma - p.gamma), abs(r.delta - p.delta))
@@ -188,8 +188,7 @@ def check_property_suite() -> CheckResult:
         e = balanced_edges(q)
         e_can = balanced_edges(canonicalize(q))
         worst_half = max(worst_half, e_can.x2, e_can.x3)
-        over_half_max = max(over_half_max,
-                            sum(1 for x in e.as_tuple() if x > math.pi / 2))
+        over_half_max = max(over_half_max, sum(1 for x in e if x > math.pi / 2))
         worst_sum = max(worst_sum, abs(e.x1 + e.x2 + e.x3 + e.x4 - TWO_PI))
         k = rng.integers(4)
         rot = balanced_edges(AngleTuple(*rotate_labels(q, k)))

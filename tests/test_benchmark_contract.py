@@ -138,19 +138,47 @@ def test_benchmark_argvs_parse(words):
 PACKAGE_ROOTS = ("qm.", "self.qm.", "wl.qm.")
 
 
-def _package_chains():
-    """Every attribute chain read off the package in run.py and selftest.py,
-    with its root dropped: ("core", "EdgeTuple") for ``self.qm.core.EdgeTuple``.
-    A chain through a call, such as ``qm.f(x).y``, yields only ``qm.f``."""
-    chains = set()
+def _benchmark_nodes():
+    """Every ast node of run.py and selftest.py."""
     for name in ("run.py", "selftest.py"):
-        for node in ast.walk(ast.parse((PERFBENCH / name).read_text())):
-            text = ast.unparse(node) if isinstance(node, ast.Attribute) else ""
-            for root in PACKAGE_ROOTS:
-                rest = text[len(root):]
-                if text.startswith(root) and rest.replace(".", "").isidentifier():
-                    chains.add(tuple(rest.split(".")))
-    return sorted(chains)
+        yield from ast.walk(ast.parse((PERFBENCH / name).read_text()))
+
+
+def _chain(node):
+    """The attribute chain node reads off the package, with its root dropped:
+    ("core", "EdgeTuple") for ``self.qm.core.EdgeTuple``; else None.  A chain
+    through a call, such as ``qm.f(x).y``, is none; its ``qm.f`` is one."""
+    text = ast.unparse(node) if isinstance(node, ast.Attribute) else ""
+    for root in PACKAGE_ROOTS:
+        rest = text[len(root):]
+        if text.startswith(root) and rest.replace(".", "").isidentifier():
+            return tuple(rest.split("."))
+    return None
+
+
+def _resolve(chain):
+    obj = quadmap
+    for name in chain:
+        obj = getattr(obj, name)
+    return obj
+
+
+def _package_chains():
+    """Every attribute chain read off the package in run.py and selftest.py."""
+    return sorted({chain for node in _benchmark_nodes() if (chain := _chain(node))})
+
+
+def _package_calls():
+    """(chain, positional count, keyword names) of each call of a package chain
+    in run.py and selftest.py.  A call with a starred argument is left out:
+    the source does not fix how many arguments it passes."""
+    calls = set()
+    for node in _benchmark_nodes():
+        if isinstance(node, ast.Call) and (chain := _chain(node.func)) \
+                and not any(isinstance(a, ast.Starred) for a in node.args) \
+                and all(k.arg for k in node.keywords):
+            calls.add((chain, len(node.args), tuple(k.arg for k in node.keywords)))
+    return sorted(calls)
 
 
 def test_package_chains_are_found():
@@ -164,6 +192,16 @@ def test_package_chains_are_found():
 def test_package_chains_resolve(chain):
     # run.import_quadmap returns the package after importing quadmap.cli, as
     # this file does; a rename the benchmark still uses fails here, not in a run
-    obj = quadmap
-    for name in chain:
-        obj = getattr(obj, name)
+    _resolve(chain)
+
+
+def test_package_calls_are_found():
+    # the self-test's mutant builds a degenerate endpoint by keyword
+    assert (("core", "EdgeTuple"), 4, ("degenerate",)) in _package_calls()
+
+
+@pytest.mark.parametrize("chain, n_args, keywords", _package_calls(),
+                         ids=lambda v: ".".join(v) if isinstance(v, tuple) else str(v))
+def test_package_calls_bind(chain, n_args, keywords):
+    # a signature change the benchmark still calls through fails here, not in a run
+    inspect.signature(_resolve(chain)).bind(*[None] * n_args, **dict.fromkeys(keywords))

@@ -52,20 +52,39 @@ class TestValidation:
         e = EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True)
         assert e.x1 == 0.0
 
-    @pytest.mark.parametrize("record, changes", [
-        (AngleTuple(*SQUARE), {"alpha": PI}),
-        (AngleTuple(*SQUARE), {"alpha": 1.0}),
-        (EdgeTuple(*SQUARE), {"x1": 0.0, "x2": PI}),
-        (EdgeTuple(*SQUARE), {"x3": -0.5, "x4": PI / 2 + 0.5}),
-        (EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True), {"x2": PI + 1e-6}),
-        (EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True), {"x4": 1.0}),
-        (EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True), {"degenerate": False}),
+    def test_degenerate_is_a_keyword_not_a_field(self):
+        # an endpoint is its four edges: the keyword picks the range rule
+        # the constructor applies, and the record does not keep it
+        e = EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True)
+        assert tuple(e) == (0.0, 2.0, 2.0, TWO_PI - 4.0) == e.as_tuple()
+        assert e._fields == tuple(e._asdict()) == ("x1", "x2", "x3", "x4")
+        assert not hasattr(e, "degenerate")
+        x1, x2, x3, x4 = e
+        assert e == EdgeTuple(x1, x2, x3, x4, degenerate=True)
+        with pytest.raises(ValueError, match=r"unexpected field names: \['degenerate'\]"):
+            EdgeTuple(*SQUARE)._replace(degenerate=True)
+
+    # each endpoint case names the strict rule's message; the endpoint rule,
+    # which _replace cannot apply, would name x2 or the sum, or accept
+    @pytest.mark.parametrize("record, changes, reason", [
+        (AngleTuple(*SQUARE), {"alpha": PI}, r"alpha = 3\.14\d* must lie strictly inside"),
+        (AngleTuple(*SQUARE), {"alpha": 1.0}, r"angle sum \S+ differs from 2\*pi"),
+        (EdgeTuple(*SQUARE), {"x1": 0.0, "x2": PI}, r"x1 = 0\.0 outside"),
+        (EdgeTuple(*SQUARE), {"x3": -0.5, "x4": PI / 2 + 0.5}, r"x3 = -0\.5 outside"),
+        (EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True), {"x2": PI + 1e-6},
+         r"x1 = 0\.0 outside"),
+        (EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True), {"x4": 1.0},
+         r"x1 = 0\.0 outside"),
+        (EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True), {"degenerate": False},
+         r"x1 = 0\.0 outside"),
     ], ids=["angle-range", "angle-sum", "edge-zero", "edge-negative",
             "degenerate-range", "degenerate-sum", "flag-cleared"])
-    def test_replace_validates_like_the_constructor(self, record, changes):
-        # _replace builds through _make, which the records route through the constructor
+    def test_replace_validates_like_the_constructor(self, record, changes, reason):
+        # _replace builds through _make, which the records route through the
+        # constructor without the degenerate keyword: an endpoint's _replace
+        # applies the strict rule, and a degenerate change is no field to set
         values = {**record._asdict(), **changes}
-        with pytest.raises(QuadrangleError) as built:
+        with pytest.raises(QuadrangleError, match=reason) as built:
             type(record)(**values)
         with pytest.raises(QuadrangleError) as replaced:
             record._replace(**changes)
@@ -82,7 +101,8 @@ class TestValidation:
     @pytest.mark.parametrize("record, changes", [
         (AngleTuple(*SQUARE), {"alpha": PI / 2 - 0.25, "gamma": PI / 2 + 0.25}),
         (EdgeTuple(*SQUARE), {"x1": 1.0, "x3": PI - 1.0}),
-        (EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True), {"x2": 1.5, "x3": 2.5}),
+        # an endpoint whose changes meet the strict rule
+        (EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True), {"x1": 0.5, "x3": 1.5}),
     ], ids=["angles", "edges", "degenerate"])
     def test_valid_replace_keeps_the_class(self, record, changes):
         new = record._replace(**changes)
@@ -92,7 +112,7 @@ class TestValidation:
     def test_degenerate_tuple_rejected_as_angles(self):
         e = degenerate_edges_first(PI / 2, PI / 2)
         with pytest.raises(QuadrangleError, match="must lie strictly inside"):
-            AngleTuple(*e.as_tuple())
+            AngleTuple(*e)
 
     def test_constructors_name_the_fields(self):
         assert str(inspect.signature(AngleTuple)) == "(alpha, beta, gamma, delta)"
@@ -111,25 +131,33 @@ class TestValidation:
             build()
 
     @pytest.mark.parametrize("form", ["positional", "keyword", "make", "replace"])
-    @pytest.mark.parametrize("record", [
-        AngleTuple(*SQUARE),
-        EdgeTuple(*SQUARE),
-        EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True),
+    @pytest.mark.parametrize("record, keywords", [
+        (AngleTuple(*SQUARE), {}),
+        (EdgeTuple(*SQUARE), {}),
+        (EdgeTuple(0.0, 2.0, 2.0, TWO_PI - 4.0, degenerate=True), {"degenerate": True}),
     ], ids=["angles", "edges", "degenerate"])
-    def test_every_form_validates_once(self, monkeypatch, record, form):
+    def test_every_form_validates_once(self, monkeypatch, record, keywords, form):
         # __post_init__ is the one validator, in the class's own __dict__
-        # (the layer tracer wraps it there), and each build runs it once
+        # (the layer tracer wraps it there and forwards its arguments), and
+        # each build runs it once; _make and _replace pass no keyword, so
+        # an endpoint built through them fails the strict rule
         cls = type(record)
         validate = vars(cls)["__post_init__"]
         seen = []
-        monkeypatch.setattr(cls, "__post_init__", lambda self: seen.append(self) or validate(self))
-        built = {
-            "positional": lambda: cls(*record),
-            "keyword": lambda: cls(**record._asdict()),
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, *args: seen.append(self) or validate(self, *args))
+        build = {
+            "positional": lambda: cls(*record, **keywords),
+            "keyword": lambda: cls(**record._asdict(), **keywords),
             "make": lambda: cls._make(record),
             "replace": lambda: record._replace(**{cls._fields[1]: record[1]}),
-        }[form]()
-        assert type(built) is cls and built == record
+        }[form]
+        if keywords and form in ("make", "replace"):
+            with pytest.raises(QuadrangleError, match="x1 = 0.0 outside"):
+                build()
+        else:
+            built = build()
+            assert type(built) is cls and built == record
         assert seen == [record]
 
 

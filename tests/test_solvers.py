@@ -9,6 +9,7 @@ import quadmap.core as core
 import quadmap.solvers as solvers
 from quadmap.core import TWO_PI, AngleTuple, QuadrangleError, balanced_edges, canonicalize
 from quadmap.dynamics import A_STAR, GENERAL_CYCLE_ANGLES, SQUARE, c_map, step
+from quadmap.sampling import sample_angle_tuple, substream
 from quadmap.solvers import (
     ChartPoint,
     SolverError,
@@ -129,6 +130,18 @@ class TestCycleSystem:
             r = cycle_system_rhs(ChartPoint.from_angles(can))
             assert (r.alpha, r.gamma, r.delta) == (e.x1, e.x3, e.x2)
 
+    def test_rhs_is_the_kernels_midpoint(self):
+        # cycle_system_rhs restates the map's midpoint for a canonical state;
+        # on seeded states of shift 0 and at the cycle it must read x1, x3, x2
+        # of the float kernel bit for bit, so the two cannot drift apart
+        states = [sample_angle_tuple(substream(5, i), margin=margin)
+                  for margin in (0.05, 1e-3, 0.0) for i in range(3000)]
+        canonical = [q for q in states if core._canonical_shift(q) == 0]
+        assert len(canonical) == 2283
+        for q in (*canonical, GENERAL_CYCLE_ANGLES):
+            x1, x2, x3, _ = core._balanced_edge_floats(tuple(q))
+            assert tuple(cycle_system_rhs(ChartPoint.from_angles(q))) == (x1, x3, x2)
+
     def test_provenance_counts_the_map_steps_taken(self):
         # the default start is the orbit element the provenance names:
         # starting there explicitly must reproduce the default solve
@@ -211,12 +224,7 @@ class TestFdJacobian:
     def test_boundary_guard(self):
         p = ChartPoint(1e-7, 2.0, 2.0)
         with pytest.raises(SolverError, match="within h of the domain boundary"):
-            fd_jacobian(lambda x: x, p, h=1e-6)
-
-    def test_h_guard(self):
-        p = ChartPoint.from_angles(GENERAL_CYCLE_ANGLES)
-        with pytest.raises(QuadrangleError, match=r"fd step h must lie in \[1e-8, 1e-4\]"):
-            fd_jacobian(lambda x: x, p, h=1e-3)
+            fd_jacobian(lambda x: x, p)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_image_raises(self, value):
@@ -355,8 +363,10 @@ class TestStabilityReport:
 
     def test_h_robustness(self):
         p = ChartPoint.from_angles(GENERAL_CYCLE_ANGLES)
-        r5 = eigenvalue_moduli_3x3(fd_jacobian(chart_map(2), p, h=1e-5))[0]
-        r6 = eigenvalue_moduli_3x3(fd_jacobian(chart_map(2), p, h=1e-6))[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "FD_STEP", 1e-5)
+            r5 = eigenvalue_moduli_3x3(fd_jacobian(chart_map(2), p))[0]
+        r6 = eigenvalue_moduli_3x3(fd_jacobian(chart_map(2), p))[0]
         assert abs(r5 - r6) / r6 < 1e-4
         assert r6 == stability_report(GENERAL_CYCLE_ANGLES, 2).spectral_radius
 
@@ -397,11 +407,12 @@ class TestStabilityReport:
             tuple(1.01 * x for x in row) for row in exact(*args)))
         assert gap() > 1e-6
 
-    def test_square_jacobian_rotation_symmetry(self):
+    def test_square_jacobian_rotation_symmetry(self, monkeypatch):
         # the map commutes with the rotation relabelings that fix the
         # square; canonicalization tie-breaks put a derivative kink at the
         # square, so the finite-difference commutator is O(h) rather than
         # machine precision
-        jac = fd_jacobian(chart_map(1), ChartPoint.from_angles(SQUARE), h=1e-8)
+        monkeypatch.setattr(solvers, "FD_STEP", 1e-8)
+        jac = fd_jacobian(chart_map(1), ChartPoint.from_angles(SQUARE))
         rot2 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, -1.0, -1.0]])
         assert np.max(np.abs(jac @ rot2 - rot2 @ jac)) < 5e-8
