@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from math import pi, sin
 
-TWO_PI = 2.0 * math.pi
+TWO_PI = 2.0 * pi
 
 # sum-constraint tolerance; sits well above double accumulation error
 SUM_TOL = 1e-9
@@ -21,7 +21,7 @@ SUM_TOL = 1e-9
 # pi, and an endpoint edge pi, by this much; the sine of such a pair sum is
 # then above -_EDGE_SLACK and _triangle_edges clamps it to 0
 _EDGE_SLACK = 1e-12
-_HI = math.pi + _EDGE_SLACK
+_HI = pi + _EDGE_SLACK
 
 
 class QuadrangleError(ValueError):
@@ -190,7 +190,7 @@ def degenerate_edges_first(alpha, delta) -> EdgeTuple:
     The triangle has angles alpha+delta, delta, pi-alpha-delta at the
     surviving vertices and perimeter 2*pi.
     """
-    if not (0.0 < alpha < math.pi and 0.0 < delta < math.pi):
+    if not (0.0 < alpha < pi and 0.0 < delta < pi):
         raise QuadrangleError("alpha and delta must lie in (0, pi)")
     if alpha + delta > _HI:
         raise QuadrangleError("alpha + delta must not exceed pi")
@@ -200,7 +200,7 @@ def degenerate_edges_first(alpha, delta) -> EdgeTuple:
 
 def degenerate_edges_second(gamma, delta) -> EdgeTuple:
     """Edges of the degenerate (triangle) endpoint with x2 = 0."""
-    if not (0.0 < gamma < math.pi and 0.0 < delta < math.pi):
+    if not (0.0 < gamma < pi and 0.0 < delta < pi):
         raise QuadrangleError("gamma and delta must lie in (0, pi)")
     if gamma + delta > _HI:
         raise QuadrangleError("gamma + delta must not exceed pi")
@@ -226,7 +226,7 @@ def _balanced_edge_floats(q):
     """tuple(step(AngleTuple(*q))) on plain floats, for q a valid angle 4-tuple.
 
     Same operations in the same order as balanced_edges, so bitwise equal.  One pass
-    with no helper call: both endpoint triangles are _triangle_edges inline, from five
+    after _canonical_shift: both endpoint triangles are _triangle_edges inline, from five
     sines (sin(d) serves both), and each is checked as soon as it is built, as step
     checks it.  A failed check raises _edge_error's message on the tuple step builds,
     whose 0.0 leaves the sum bitwise equal.
@@ -259,8 +259,8 @@ def _balanced_edge_floats(q):
         o1, o2, o3, o4 = m3, m4, m1, m2
     else:
         o1, o2, o3, o4 = m2, m3, m4, m1
-    if not (0.0 < o1 < math.pi and 0.0 < o2 < math.pi and 0.0 < o3 < math.pi
-            and 0.0 < o4 < math.pi and abs(o1 + o2 + o3 + o4 - TWO_PI) <= SUM_TOL):
+    if not (0.0 < o1 < pi and 0.0 < o2 < pi and 0.0 < o3 < pi
+            and 0.0 < o4 < pi and abs(o1 + o2 + o3 + o4 - TWO_PI) <= SUM_TOL):
         raise QuadrangleError(_edge_error(o1, o2, o3, o4, False))
     return o1, o2, o3, o4
 
@@ -269,9 +269,9 @@ def _edge_headings(q: AngleTuple):
     # counter-clockwise walk D -> A -> B -> C -> D, initial heading 0;
     # each vertex turns left by the exterior angle pi - interior
     h1 = 0.0
-    h2 = h1 + math.pi - q.alpha
-    h3 = h2 + math.pi - q.beta
-    h4 = h3 + math.pi - q.gamma
+    h2 = h1 + pi - q.alpha
+    h3 = h2 + pi - q.beta
+    h4 = h3 + pi - q.gamma
     return (h1, h2, h3, h4)
 
 
@@ -299,7 +299,8 @@ def balanced_edges_oracle(q: AngleTuple):
         raise QuadrangleError("closure system is rank-deficient")
     k = max(range(4), key=lambda j: abs(cof[j]))
     rest = cols[:k] + cols[k + 1:]
-    x = [_det3(*rest[:i], (0.0, 0.0, TWO_PI), *rest[i + 1:]) / _det3(*rest) for i in range(3)]
+    det = (-1) ** k * cof[k]   # _det3(*rest), signed back from its cofactor
+    x = [_det3(*rest[:i], (0.0, 0.0, TWO_PI), *rest[i + 1:]) / det for i in range(3)]
     particular = x[:k] + [0.0] + x[k:]
     null = [c / norm for c in cof]
 

@@ -27,8 +27,7 @@ from .dynamics import (
     step,
     trapezoid_angles,
 )
-from ._pcg64 import PCG64
-from .sampling import sample_angle_tuple, substream
+from .sampling import PCG64, sample_angle_tuple, substream
 from .solvers import (
     ChartPoint,
     c_map_slope,

@@ -13,6 +13,7 @@ import ast
 import importlib
 import inspect
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,13 @@ def _literal(name):
 @pytest.mark.parametrize("module", _literal("MODULES"))
 def test_traced_modules_import(module):
     importlib.import_module(module)
+
+
+def test_every_module_is_a_traced_layer():
+    # the tracer rebinds traced functions only in MODULES' namespaces, so a
+    # module outside it would call them untraced and every count would miss it
+    modules = {f"quadmap.{m.name}" for m in pkgutil.iter_modules(quadmap.__path__)}
+    assert {"quadmap"} | modules == set(_literal("MODULES"))
 
 
 @pytest.mark.parametrize("module, name, coarse", _literal("TARGETS"),

@@ -644,6 +644,15 @@ class TestOracle:
             _, seg = balanced_edges_oracle(q)
             assert abs(sum(seg.direction)) < 1e-10
 
+    def test_oracle_takes_seven_determinants(self, monkeypatch, random_angles):
+        # four cofactors and three Cramer numerators; the denominator is a cofactor
+        det3, calls = core._det3, []
+        monkeypatch.setattr(core, "_det3", lambda *cols: calls.append(cols) or det3(*cols))
+        for q in [AngleTuple(*SQUARE)] + random_angles[:20]:
+            calls.clear()
+            balanced_edges_oracle(q)
+            assert len(calls) == 7
+
 
 class TestRealizePolygon:
     def test_square_closes(self):

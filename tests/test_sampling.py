@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 import quadmap.core as core
-from quadmap._pcg64 import PCG64
 from quadmap.core import AngleTuple, QuadrangleError, balanced_edges_oracle
-from quadmap.sampling import sample_angle_tuple, substream
+from quadmap.sampling import PCG64, sample_angle_tuple, substream
 
 EDGE_SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3, 2**128 + 5]
 SAMPLE_IDS = [0, 1, 999, 2**32 - 1, 2**32, 2**33 + 7]
