@@ -160,9 +160,12 @@ def canonicalize(q: AngleTuple) -> AngleTuple:
     """q rotated by the smallest cyclic shift with delta+alpha <= pi and gamma+delta <= pi.
 
     Returns the rotated AngleTuple; _canonical_shift gives the shift.  Such
-    a shift always exists: the four adjacent pair sums satisfy s1+s3 =
-    s2+s4 = 2*pi, which forces a vertex whose two adjacent sums are both
-    <= pi.  Boundary equalities are admitted within _EDGE_SLACK.
+    a shift exists when the angle sum S is at most about 2*pi + 2*_EDGE_SLACK
+    (2e-12): the four adjacent pair sums satisfy s1+s3 = s2+s4 = S, so one of
+    s1, s3 and one of s2, s4 is <= pi + _EDGE_SLACK, and two such sums meet
+    at a vertex.  AngleTuple admits S up to SUM_TOL (1e-9) past 2*pi, and
+    there the shift may not exist: README's 1.0,2.141592653839793,1.3,
+    1.841592653839793 (S = 2*pi + 5e-10) raises QuadrangleError.
     """
     return AngleTuple(*rotate_labels(q, _canonical_shift(q)))
 
@@ -195,7 +198,7 @@ def degenerate_edges_first(alpha, delta) -> EdgeTuple:
     if alpha + delta > _HI:
         raise QuadrangleError("alpha + delta must not exceed pi")
     x4, x2, x1 = _triangle_edges(alpha, delta)
-    return EdgeTuple(x1, x2, 0.0, x4, degenerate=True)
+    return EdgeTuple(x1, x2, 0.0, x4, True)
 
 
 def degenerate_edges_second(gamma, delta) -> EdgeTuple:
@@ -205,7 +208,7 @@ def degenerate_edges_second(gamma, delta) -> EdgeTuple:
     if gamma + delta > _HI:
         raise QuadrangleError("gamma + delta must not exceed pi")
     x1, x3, x4 = _triangle_edges(gamma, delta)
-    return EdgeTuple(x1, 0.0, x3, x4, degenerate=True)
+    return EdgeTuple(x1, 0.0, x3, x4, True)
 
 
 def balanced_edges(q: AngleTuple) -> EdgeTuple:
@@ -218,8 +221,15 @@ def balanced_edges(q: AngleTuple) -> EdgeTuple:
     a, g, d = q[r], q[r - 2], q[r - 1]
     f1, f2, f3, f4 = degenerate_edges_first(a, d)
     s1, s2, s3, s4 = degenerate_edges_second(g, d)
-    mid = ((f1 + s1) / 2.0, (f2 + s2) / 2.0, (f3 + s3) / 2.0, (f4 + s4) / 2.0)
-    return EdgeTuple(*(mid[-r:] + mid[:-r]))
+    m1, m2, m3, m4 = (f1 + s1) / 2.0, (f2 + s2) / 2.0, (f3 + s3) / 2.0, (f4 + s4) / 2.0
+    # the midpoint rotated back by r: (m1, m2, m3, m4)[-r:] + (...)[:-r]
+    if r == 0:
+        return EdgeTuple(m1, m2, m3, m4)
+    if r == 1:
+        return EdgeTuple(m4, m1, m2, m3)
+    if r == 2:
+        return EdgeTuple(m3, m4, m1, m2)
+    return EdgeTuple(m2, m3, m4, m1)
 
 
 def _balanced_edge_floats(q):
@@ -268,10 +278,11 @@ def _balanced_edge_floats(q):
 def _edge_headings(q: AngleTuple):
     # counter-clockwise walk D -> A -> B -> C -> D, initial heading 0;
     # each vertex turns left by the exterior angle pi - interior
+    alpha, beta, gamma, _ = q
     h1 = 0.0
-    h2 = h1 + pi - q.alpha
-    h3 = h2 + pi - q.beta
-    h4 = h3 + pi - q.gamma
+    h2 = h1 + pi - alpha
+    h3 = h2 + pi - beta
+    h4 = h3 + pi - gamma
     return (h1, h2, h3, h4)
 
 
@@ -291,17 +302,21 @@ def balanced_edges_oracle(q: AngleTuple):
     of largest null component set to 0, gives a particular solution.
     """
     cols = [(math.cos(h), math.sin(h), 1.0) for h in _edge_headings(q)]
-    cof = [(-1) ** j * _det3(*cols[:j], *cols[j + 1:]) for j in range(4)]
+    c0, c1, c2, c3 = cols
+    # cofactor j is (-1)**j times the determinant of the columns other than j
+    cof = [_det3(c1, c2, c3), -_det3(c0, c2, c3), _det3(c0, c1, c3), -_det3(c0, c1, c2)]
     # the cofactor norm is the product of the singular values; every closure
     # matrix has Frobenius norm sqrt(8), so one absolute bound fits them all
     norm = math.hypot(*cof)
     if norm < 1e-12:
         raise QuadrangleError("closure system is rank-deficient")
-    k = max(range(4), key=lambda j: abs(cof[j]))
-    rest = cols[:k] + cols[k + 1:]
-    det = (-1) ** k * cof[k]   # _det3(*rest), signed back from its cofactor
-    x = [_det3(*rest[:i], (0.0, 0.0, TWO_PI), *rest[i + 1:]) / det for i in range(3)]
-    particular = x[:k] + [0.0] + x[k:]
+    size = [abs(c) for c in cof]
+    k = size.index(max(size))   # the first largest |cofactor|
+    r0, r1, r2 = cols[:k] + cols[k + 1:]
+    det = -cof[k] if k & 1 else cof[k]   # _det3(r0, r1, r2), signed back from its cofactor
+    b = (0.0, 0.0, TWO_PI)
+    particular = [_det3(b, r1, r2) / det, _det3(r0, b, r2) / det, _det3(r0, r1, b) / det]
+    particular.insert(k, 0.0)
     null = [c / norm for c in cof]
 
     t_lo, t_hi = -math.inf, math.inf
@@ -329,4 +344,4 @@ def realize_polygon(q: AngleTuple, e: EdgeTuple) -> PlanarPolygon:
         vertices.append((x, y))
     end = vertices.pop()
     gap = math.hypot(end[0] - vertices[0][0], end[1] - vertices[0][1])
-    return PlanarPolygon(vertices=tuple(vertices), closure_gap=gap)
+    return PlanarPolygon(tuple(vertices), gap)

@@ -4,7 +4,9 @@ The map sends a quadrangle with angles q to the quadrangle whose angles
 numerically equal the balanced edge lengths of q.  Generic orbits converge
 to an attracting 2-cycle; the square is a fixed point that repels generic
 starts but attracts the parallelogram line, which reaches it in one step;
-isosceles trapezoids form an invariant family with an attracting 2-cycle.
+isosceles trapezoids form an invariant family with a 2-cycle that attracts
+within the family only.  Across the family it is a saddle: f^2, relabeled back
+onto the cycle, has moduli 1.1666 (transverse) and c'(a*) = 0.803 (in-family).
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ from .core import TWO_PI, AngleTuple, QuadrangleError
 
 DEFAULT_MARGIN = 0.05
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_M32, _M53, _M64, _M128 = (1 << 32) - 1, (1 << 53) - 1, (1 << 64) - 1, (1 << 128) - 1
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# x * _DUP is x << 64 | x for x < 2**64, so x * _DUP >> rot & _M64 rotates x right by rot
+_DUP = (1 << 64) + 1
 
 
 def _words(entropy):
@@ -55,20 +57,22 @@ class PCG64:
 
     def _next64(self):
         self._state = s = (self._state * _MULT + self._inc) & _M128
-        x, rot = (s >> 64 ^ s) & _M64, s >> 122
-        return (x >> rot | x << (64 - rot)) & _M64
+        return ((s >> 64 ^ s) & _M64) * _DUP >> (s >> 122) & _M64
 
     def uniform(self, lo, hi, size=None):
-        """One double in [lo, hi), or a list of ``size``, as numpy draws them; _next64 inline."""
+        """One double in [lo, hi), or a list of ``size``, as numpy draws them.
+
+        _next64 is inline, and its ``>> 11`` to 53 bits folds into the rotation's shift.
+        """
         if size is None:
             self._state = s = (self._state * _MULT + self._inc) & _M128
-            x, rot = (s >> 64 ^ s) & _M64, s >> 122
-            return lo + (hi - lo) * ((((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0 ** -53)
+            return lo + (hi - lo) * ((((s >> 64 ^ s) & _M64) * _DUP >> (s >> 122) + 11 & _M53)
+                                     * 2.0 ** -53)
         s, inc, span, out = self._state, self._inc, hi - lo, []
         for _ in range(size):
             s = (s * _MULT + inc) & _M128
-            x, rot = (s >> 64 ^ s) & _M64, s >> 122
-            out.append(lo + span * ((((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0 ** -53))
+            out.append(lo + span * ((((s >> 64 ^ s) & _M64) * _DUP >> (s >> 122) + 11 & _M53)
+                                    * 2.0 ** -53))
         self._state = s
         return out
 

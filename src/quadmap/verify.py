@@ -173,7 +173,10 @@ def check_property_suite() -> CheckResult:
         phi = rng.uniform(1e-6, math.pi - 2e-6)
         psi = rng.uniform(1e-6, math.pi - phi - 1e-6)
         e_phi, _, e_sum = _triangle_edges(phi, psi)
-        worst = max(worst, e_phi / TWO_PI, e_sum / TWO_PI)
+        worst = max(worst, e_phi, e_sum)
+    # dividing by 2*pi is monotone, so this is the largest edge fraction,
+    # the same double as the largest of the fractions
+    worst /= TWO_PI
     # both triangle-edge fractions are < 1/2 for phi, psi > 0 with phi + psi
     # < pi: this is what keeps balanced edges inside (0, pi)
     ok &= worst < 0.5

@@ -22,7 +22,7 @@ from quadmap.core import (
     rotate_labels,
 )
 from quadmap.dynamics import step
-from quadmap.sampling import sample_angle_tuple
+from quadmap.sampling import PCG64, sample_angle_tuple
 
 PI = math.pi
 SQUARE = (PI / 2, PI / 2, PI / 2, PI / 2)
@@ -652,6 +652,43 @@ class TestOracle:
             calls.clear()
             balanced_edges_oracle(q)
             assert len(calls) == 7
+
+    def test_oracle_is_bitwise_the_slicing_formula(self):
+        # the reference writes the oracle's arithmetic with slices and splats:
+        # cofactor j from the columns other than j, signed by (-1) ** j, and
+        # the first largest |cofactor| by a key
+        def reference(q):
+            h, headings = 0.0, [0.0]
+            for angle in q[:3]:
+                h = h + PI - angle
+                headings.append(h)
+            cols = [(math.cos(h), math.sin(h), 1.0) for h in headings]
+            cof = [(-1) ** j * core._det3(*cols[:j], *cols[j + 1:]) for j in range(4)]
+            norm = math.hypot(*cof)
+            k = max(range(4), key=lambda j: abs(cof[j]))
+            rest = cols[:k] + cols[k + 1:]
+            det = (-1) ** k * cof[k]
+            x = [core._det3(*rest[:i], (0.0, 0.0, TWO_PI), *rest[i + 1:]) / det
+                 for i in range(3)]
+            particular = x[:k] + [0.0] + x[k:]
+            null = [c / norm for c in cof]
+            t_lo, t_hi = -math.inf, math.inf
+            for base_i, dir_i in zip(particular, null):
+                if dir_i > 1e-14:
+                    t_lo = max(t_lo, -base_i / dir_i)
+                elif dir_i < -1e-14:
+                    t_hi = min(t_hi, -base_i / dir_i)
+            t_mid = (t_lo + t_hi) / 2.0
+            base = [b + t_mid * d for b, d in zip(particular, null)]
+            return base + null + [t_lo - t_mid, t_hi - t_mid]
+
+        rng = PCG64(7)
+        for margin in (0.05, 1e-3, 0.0):
+            for _ in range(1000):
+                q = sample_angle_tuple(rng, margin)
+                mid, seg = balanced_edges_oracle(q)
+                got = [*mid, *seg.direction, seg.t_min, seg.t_max]
+                assert [v.hex() for v in got] == [v.hex() for v in reference(q)], q
 
 
 class TestRealizePolygon:

@@ -38,11 +38,16 @@ def test_mixed_uniform_and_integers_match_numpy(seed):
     # a uniform draw in between leaves that half in place
     mine, ref = PCG64(seed), np.random.default_rng(seed)
     choose = random.Random(seed)
+    rotations = set()
     for _ in range(20000):
         if choose.random() < 0.5:
             assert mine.uniform(1e-6, math.pi) == ref.uniform(1e-6, math.pi)
         else:
             assert mine.integers(4) == ref.integers(4)
+        # a 64-bit draw rotates by the top 6 bits of the state it steps to
+        rotations.add(mine._state >> 122)
+    # so the output step is held to numpy at every rotation, 0 included
+    assert rotations == set(range(64))
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**64 + 3])
