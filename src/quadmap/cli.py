@@ -54,7 +54,7 @@ def _parse_angles(text: str):
 
 
 def _emit(text: str, out_path):
-    if out_path:
+    if out_path is not None:
         try:
             with open(out_path, "w", newline="") as fh:
                 fh.write(text)
@@ -148,7 +148,7 @@ def cmd_solve(args) -> tuple[int, str]:
     if args.target == "trapezoid":
         if args.initial is not None:
             raise QuadrangleError("--initial applies to solve cycle only")
-        fp = solve_trapezoid_fixed_point(tol=args.tol)
+        fp = solve_trapezoid_fixed_point()
         a = fp.attracting.solution
         payload = {
             "a_star": fmt(a),
@@ -163,7 +163,7 @@ def cmd_solve(args) -> tuple[int, str]:
         if args.initial:
             initial = ChartPoint(*_parse_floats(
                 args.initial, 3, "--initial expects alpha,gamma,delta"))
-        result = solve_cycle_system(initial=initial, tol=args.tol)
+        result = solve_cycle_system(initial=initial)
         payload = {
             **_angles_json(result.solution),
             "residual": fmt(result.residual_norm),
@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="fixed-point / cycle-system solvers")
     p.add_argument("target", choices=("trapezoid", "cycle"))
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--initial", default=None,
                    help="alpha,gamma,delta starting point for the cycle system")
     p.set_defaults(func=cmd_solve)

@@ -19,6 +19,7 @@ FD_STEP = 1e-6
 # bracket of the attracting trapezoid fixed point; Newton starts at its top
 TRAPEZOID_BRACKET = (1.4, 1.5)
 
+NEWTON_TOL = 1e-12        # stop of both Newton solves: trapezoid step, cycle residual
 CYCLE_MAX_ITER = 100      # Newton iteration budget of the cycle solve
 TRAPEZOID_MAX_ITER = 20   # Newton iteration budget of the trapezoid solve
 
@@ -78,13 +79,11 @@ def c_map_slope(a: float) -> float:
     return dc_dtheta * dtheta_da
 
 
-def solve_trapezoid_fixed_point(tol: float = 1e-13) -> TrapezoidFixedPoints:
+def solve_trapezoid_fixed_point() -> TrapezoidFixedPoints:
     """The nontrivial root of c(a) = a by Newton's method with c_map_slope from
-    the top of TRAPEZOID_BRACKET until a step is at most tol, plus the analytic
-    fixed point pi/2.  On the bracket c' - 1 lies in [-0.45, -0.13], away from 0.
+    the top of TRAPEZOID_BRACKET until a step is at most NEWTON_TOL, plus the
+    analytic fixed point pi/2.  On the bracket c' - 1 lies in [-0.45, -0.13].
     """
-    if not 1e-14 <= tol < math.inf:   # a NaN tol fails here too
-        raise QuadrangleError("tol must be finite and at least 1e-14")
     lo, hi = TRAPEZOID_BRACKET
     a = hi
     provenance = f"Newton from a = {hi} in {TRAPEZOID_BRACKET}"
@@ -93,10 +92,10 @@ def solve_trapezoid_fixed_point(tol: float = 1e-13) -> TrapezoidFixedPoints:
         a += delta
         if not lo < a < hi:   # a NaN step fails here too
             raise SolverError(f"Newton step left the bracket {TRAPEZOID_BRACKET}")
-        if abs(delta) <= tol:
+        if abs(delta) <= NEWTON_TOL:
             result = SolveResult(a, abs(c_map(a) - a), it, provenance)
             return TrapezoidFixedPoints(attracting=result, repelling=math.pi / 2.0)
-    raise SolverError(f"Newton step above tol {tol} after {TRAPEZOID_MAX_ITER} iterations")
+    raise SolverError(f"Newton step above tol {NEWTON_TOL} after {TRAPEZOID_MAX_ITER} iterations")
 
 
 def cycle_system_rhs(p: ChartPoint) -> ChartPoint:
@@ -125,17 +124,13 @@ def _solve3(a, b):
     return [_det3(*cols[:i], b, *cols[i + 1:]) / det for i in range(3)]
 
 
-def solve_cycle_system(initial: ChartPoint | None = None,
-                       tol: float = 1e-12) -> SolveResult:
-    """Damped Newton solve of the cycle relations in the reduced chart.
+def solve_cycle_system(initial: ChartPoint | None = None) -> SolveResult:
+    """Damped Newton solve of the cycle relations in the reduced chart, until
+    the residual sup-norm is at most NEWTON_TOL.
 
     Step-halving line search on the residual sup-norm, inside the domain;
     fd_jacobian supplies the Jacobian.  Beta is implied by the angle sum.
     """
-    if initial is not None:
-        initial.as_angles()   # the implied beta must be a valid angle too
-    if not 1e-13 <= tol < math.inf:   # a NaN tol fails here too
-        raise QuadrangleError("tol must be finite and at least 1e-13")
     if initial is None:
         # in the canonical labeling the relations nearly hold at every other
         # element of this orbit: residual 2.6e-3 at element 51, 0.41 at 50
@@ -145,13 +140,14 @@ def solve_cycle_system(initial: ChartPoint | None = None,
         initial = ChartPoint.from_angles(canonicalize(q))
         provenance = "initial guess from 51 map iterations of a generic seed"
     else:
+        initial.as_angles()   # the implied beta must be a valid angle too
         provenance = "caller-supplied initial guess"
 
     v = tuple(initial)
     res = _cycle_residual(v)
     norm = max(map(abs, res))
     for it in range(1, CYCLE_MAX_ITER + 1):
-        if norm <= tol:
+        if norm <= NEWTON_TOL:
             return SolveResult(ChartPoint(*v), norm, it - 1, provenance)
         jac = fd_jacobian(cycle_system_rhs, ChartPoint(*v))
         s = _solve3([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(jac)],
@@ -167,9 +163,9 @@ def solve_cycle_system(initial: ChartPoint | None = None,
             if lam < 2.0 ** -20:
                 raise SolverError("line search damping collapsed")
         v, res, norm = trial, trial_res, trial_norm
-    if norm <= tol:
+    if norm <= NEWTON_TOL:
         return SolveResult(ChartPoint(*v), norm, CYCLE_MAX_ITER, provenance)
-    raise SolverError(f"residual {norm} above tol {tol} after {CYCLE_MAX_ITER} iterations")
+    raise SolverError(f"residual {norm} above tol {NEWTON_TOL} after {CYCLE_MAX_ITER} iterations")
 
 
 def fd_jacobian(chart_map: Callable[[ChartPoint], ChartPoint], p: ChartPoint) -> tuple:

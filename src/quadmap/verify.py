@@ -49,7 +49,7 @@ def check_square_fixed_point() -> CheckResult:
 
 
 def check_trapezoid_fixed_point() -> CheckResult:
-    fp = solve_trapezoid_fixed_point(tol=1e-14)
+    fp = solve_trapezoid_fixed_point()
     err = abs(fp.attracting.solution - A_STAR)
     return CheckResult(
         "trapezoid fixed point a*",
@@ -59,7 +59,7 @@ def check_trapezoid_fixed_point() -> CheckResult:
 
 
 def check_slope_at_fixed_point() -> CheckResult:
-    fp = solve_trapezoid_fixed_point(tol=1e-13)
+    fp = solve_trapezoid_fixed_point()
     slope = c_map_slope(fp.attracting.solution)
     return CheckResult(
         "submap slope at a*",
@@ -87,7 +87,7 @@ def check_boundary_values() -> CheckResult:
 
 
 def check_general_cycle_solution() -> CheckResult:
-    result = solve_cycle_system(tol=1e-12)
+    result = solve_cycle_system()
     sol = result.solution
     got = (sol.alpha, sol.beta, sol.gamma, sol.delta)
     err = max(abs(a - b) for a, b in zip(got, GENERAL_CYCLE_ANGLES))
@@ -103,7 +103,7 @@ def check_general_cycle_solution() -> CheckResult:
 
 
 def check_cycle_dynamics() -> CheckResult:
-    sol = solve_cycle_system(tol=1e-12).solution
+    sol = solve_cycle_system().solution
     q = sol.as_angles()
     d1 = relabel_distance(step(q), reflect_labels_angles(q), IDENTITY)
     # a double step returns to a cyclic relabeling of the start; compare
@@ -122,7 +122,7 @@ def check_generic_convergence(samples: int = 100) -> CheckResult:
     misses = []
     for i in range(samples):
         q0 = sample_angle_tuple(substream(42, i))
-        traj = iterate(q0, max_iter=10000, tol=1e-12)
+        traj = iterate(q0)
         if traj.classification == "general_2cycle":
             hits += 1
         else:
@@ -138,7 +138,7 @@ def check_trapezoid_basin() -> CheckResult:
     worst = 0.0
     for i in range(10):
         a = 0.1 + 1.4 * (i + 0.5) / 10.0
-        traj = iterate(trapezoid_angles(a), max_iter=10000, tol=1e-12)
+        traj = iterate(trapezoid_angles(a))
         if traj.classification != "trapezoid_2cycle":
             return CheckResult("trapezoid basin", False,
                                f"seed a={a:.3f} gave {traj.classification}")
@@ -210,7 +210,7 @@ def check_property_suite() -> CheckResult:
 
 def check_stability_spectra() -> CheckResult:
     rho_square = stability_report(SQUARE, map_order=1).spectral_radius
-    q = solve_cycle_system(tol=1e-12).solution.as_angles()
+    q = solve_cycle_system().solution.as_angles()
     rho_cycle = stability_report(q, map_order=2).spectral_radius
     p = ChartPoint.from_angles(GENERAL_CYCLE_ANGLES)
     jac = fd_jacobian(cycle_system_rhs, p)

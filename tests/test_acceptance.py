@@ -53,8 +53,8 @@ def test_boundary_check_compares_the_closed_form_with_the_map(monkeypatch):
 def test_a_star_gate_is_a_few_ulp(monkeypatch):
     original = verify.solve_trapezoid_fixed_point
 
-    def shifted(tol):
-        fp = original(tol=tol)
+    def shifted():
+        fp = original()
         a = fp.attracting.solution + 5 * math.ulp(verify.A_STAR)
         return fp._replace(attracting=fp.attracting._replace(solution=a))
 
@@ -65,8 +65,8 @@ def test_a_star_gate_is_a_few_ulp(monkeypatch):
 def test_cycle_angle_gate_is_1e_14(monkeypatch):
     original = verify.solve_cycle_system
 
-    def shifted(tol):
-        result = original(tol=tol)
+    def shifted():
+        result = original()
         sol = result.solution._replace(alpha=result.solution.alpha + 1e-12)
         return result._replace(solution=sol)
 
@@ -106,8 +106,8 @@ def test_trapezoid_basin_gate_is_1e_10(monkeypatch):
     # classification tolerance, so only the distance gate can reject it
     original = verify.iterate
 
-    def shifted(q0, max_iter, tol):
-        traj = original(q0, max_iter=max_iter, tol=tol)
+    def shifted(q0, **kwargs):
+        traj = original(q0, **kwargs)
         return traj._replace(cycle=traj.cycle._replace(match_distance=1e-9))
 
     monkeypatch.setattr(verify, "iterate", shifted)

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import quadmap
 import quadmap.cli
 import quadmap.core as core
+import quadmap.solvers as solvers
 from quadmap.cli import fmt, main
 from quadmap.core import EdgeTuple, QuadrangleError
 from quadmap.dynamics import (
@@ -30,7 +31,7 @@ from quadmap.dynamics import (
     SLOPE_AT_A_STAR,
     dihedral_distance,
 )
-from quadmap.solvers import SolverError
+from quadmap.solvers import SolverError, solve_cycle_system, solve_trapezoid_fixed_point
 from quadmap.verify import run_all
 
 PI = math.pi
@@ -80,13 +81,14 @@ class TestStep:
         assert main(["step", "--angles", "a,b,c,d"]) == 2
 
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
-        # --out names a directory: an OSError becomes a usage error, not a
-        # traceback with the exit code that means "verification failed"
-        code, err = run_bounded(capsys, 10, "step", "--angles", SQUARE_ARG,
-                                "--out", str(tmp_path))
-        assert code == 2
-        assert err.startswith("error: cannot write")
-        assert "Traceback" not in err
+        # --out names a directory, or is empty: an OSError becomes a usage
+        # error, not a traceback with the exit code that means "verification
+        # failed", nor a write to stdout
+        for out in (str(tmp_path), ""):
+            code, err = run_bounded(capsys, 10, "step", "--angles", SQUARE_ARG, "--out", out)
+            assert code == 2
+            assert err.startswith("error: cannot write")
+            assert "Traceback" not in err
 
 
 class TestIterate:
@@ -130,8 +132,6 @@ TOL_ARGVS = [
     ("cycle", "--angles", "1.2,2.1,1.5,1.4831853071795865"),
     ("iterate", "--angles", "1.2,2.1,1.5,1.4831853071795865"),
     ("basin", "--samples", "1"),
-    ("solve", "trapezoid"),
-    ("solve", "cycle"),
 ]
 
 
@@ -151,8 +151,7 @@ def test_thin_trapezoid_is_rejected_with_one_message(capsys):
 
 @pytest.mark.parametrize("argv", TOL_ARGVS)
 def test_nan_tol_exit_2(capsys, argv):
-    # d < nan never holds, so a NaN tolerance used to spend the whole budget;
-    # in the solvers it slipped past the tol < floor guards
+    # d < nan never holds, so a NaN tolerance used to spend the whole budget
     code, err = run_bounded(capsys, 10, *argv, "--tol", "nan")
     assert code == 2
     assert err.startswith("error:")
@@ -161,7 +160,7 @@ def test_nan_tol_exit_2(capsys, argv):
 @pytest.mark.parametrize("argv", TOL_ARGVS)
 def test_inf_tol_exit_2(capsys, argv):
     # every distance is below inf: cycle and basin reported a period-1
-    # other_cycle after 3 steps, and the solvers returned their first iterate
+    # other_cycle after 3 steps
     code, err = run_bounded(capsys, 10, *argv, "--tol", "inf")
     assert code == 2
     assert err.startswith("error:")
@@ -488,13 +487,19 @@ class TestBasin:
 
 class TestSolve:
     def test_trapezoid(self, capsys):
-        code, out = run(capsys, "solve", "trapezoid", "--tol", "1e-13")
+        code, out = run(capsys, "solve", "trapezoid")
         assert code == 0
         payload = json.loads(out)
         assert float(payload["a_star"]) == pytest.approx(
             1.48342158769377952440379165224, abs=1e-12)
         assert float(payload["repelling_fixed_point"]) == PI / 2
         assert 0.75 <= float(payload["derivative_at_a_star"]) <= 0.85
+        # the CLI prints the library's solve, field for field
+        r = solve_trapezoid_fixed_point().attracting
+        assert payload["a_star"] == fmt(r.solution)
+        assert payload["residual"] == fmt(r.residual_norm)
+        assert payload["iterations"] == r.iterations == 5
+        assert payload["provenance"] == r.provenance
 
     def test_cycle(self, capsys):
         code, out = run(capsys, "solve", "cycle")
@@ -504,23 +509,33 @@ class TestSolve:
             1.54819305248669225152933985324, abs=1e-9)
         assert float(payload["beta"]) == pytest.approx(
             1.82405188512759300508614890573, abs=1e-9)
+        # the CLI prints the library's solve, field for field
+        r = solve_cycle_system()
+        for name in ("alpha", "beta", "gamma", "delta"):
+            assert payload[name] == fmt(getattr(r.solution, name))
+        assert payload["residual"] == fmt(r.residual_norm)
+        assert payload["iterations"] == r.iterations
+        assert payload["provenance"] == r.provenance
 
     @pytest.mark.parametrize("flag,value", [
         ("--bracket-hi", repr(PI / 2)),
         ("--bracket-hi", "2"),
         ("--bracket-lo", "nan"),
+        ("--tol", "1e-12"),
     ])
     def test_trapezoid_bad_bracket_exit_2(self, capsys, flag, value):
         # the bracket is fixed: c(a) = a has one root in (0, pi/2), so no
-        # bracket flag is accepted, whatever its value
+        # bracket flag is accepted, whatever its value; nor is a tolerance:
+        # both solves stop at solvers.NEWTON_TOL
         with pytest.raises(SystemExit) as exc:
             main(["solve", "trapezoid", flag, value])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and flag in err
 
-    def test_trapezoid_huge_tol_stops_after_one_newton_step(self, capsys):
-        code, out = run(capsys, "solve", "trapezoid", "--tol", "1e300")
+    def test_trapezoid_huge_tol_stops_after_one_newton_step(self, capsys, monkeypatch):
+        monkeypatch.setattr(solvers, "NEWTON_TOL", 1e300)
+        code, out = run(capsys, "solve", "trapezoid")
         assert code == 0
         payload = json.loads(out)
         assert payload["iterations"] == 1
@@ -832,7 +847,7 @@ ARGVS = st.one_of(
               _opt("--margin", st.floats(0.0, 1.5) | st.just(math.nan)), TOL, MAX_ITER),
     st.tuples(st.just(["curve"]), _opt("--from", FLOATS), _opt("--to", FLOATS),
               _req("--samples", st.integers(-1, 20))),
-    st.tuples(st.sampled_from([["solve", "trapezoid"], ["solve", "cycle"]]), TOL,
+    st.tuples(st.sampled_from([["solve", "trapezoid"], ["solve", "cycle"]]),
               _opt("--initial", st.tuples(FLOATS, FLOATS, FLOATS).map(
                   lambda t: ",".join(repr(v) for v in t)))),
     st.tuples(st.just(["stability"]), ANGLES, _opt("--order", st.integers(-1, 3))),

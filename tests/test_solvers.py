@@ -44,44 +44,38 @@ def chart_map(order):
 
 class TestTrapezoidFixedPoint:
     def test_matches_paper_digits(self):
-        fp = solve_trapezoid_fixed_point(tol=1e-13)
+        fp = solve_trapezoid_fixed_point()
         assert abs(fp.attracting.solution - 1.48342158769377952440379165224) <= 1e-12
         assert fp.repelling == PI / 2
 
     def test_slope_near_point_eight(self):
-        fp = solve_trapezoid_fixed_point(tol=1e-13)
+        fp = solve_trapezoid_fixed_point()
         a, h = fp.attracting.solution, 1e-6
         slope = (c_map(a + h) - c_map(a - h)) / (2 * h)
         assert 0.75 <= slope <= 0.85
 
-    def test_tol_guard(self):
-        with pytest.raises(QuadrangleError, match="tol must be finite and at least 1e-14"):
-            solve_trapezoid_fixed_point(tol=1e-16)
-
-    @pytest.mark.parametrize("tol", [1e-14, 1e-13, 1e-12, 1e-9])
-    def test_newton_lands_on_one_double_within_2_ulp(self, tol):
-        # every tol here ends on the same double, 2 ulp below A_STAR, where
-        # c(a) - a is exactly 0
-        r = solve_trapezoid_fixed_point(tol=tol).attracting
+    def test_newton_lands_on_one_double_within_2_ulp(self):
+        # the solve ends on the double 2 ulp below A_STAR, where c(a) - a is
+        # exactly 0; the 5th step is the first at most NEWTON_TOL
+        r = solve_trapezoid_fixed_point().attracting
         assert abs(r.solution - A_STAR) <= 2 * math.ulp(A_STAR)
-        assert r.solution == solve_trapezoid_fixed_point(tol=1e-14).attracting.solution
         assert c_map(r.solution) - r.solution == 0.0
         assert r.residual_norm == 0.0
-        assert type(r.iterations) is int and 1 <= r.iterations <= 6
+        assert type(r.iterations) is int and r.iterations == 5
 
     def test_budget_exit(self, monkeypatch):
         # slope 0 turns Newton into the plain iteration a <- c(a), which
         # contracts only by c'(a*) ~ 0.8 per step
         monkeypatch.setattr(solvers, "c_map_slope", lambda a: 0.0)
         with pytest.raises(SolverError, match=(
-                f"above tol 1e-13 after {solvers.TRAPEZOID_MAX_ITER} iterations")):
-            solve_trapezoid_fixed_point(tol=1e-13)
+                f"above tol 1e-12 after {solvers.TRAPEZOID_MAX_ITER} iterations")):
+            solve_trapezoid_fixed_point()
 
     @pytest.mark.parametrize("slope", [0.999, math.nan])
     def test_bracket_exit(self, monkeypatch, slope):
         monkeypatch.setattr(solvers, "c_map_slope", lambda a: slope)
         with pytest.raises(SolverError, match=r"Newton step left the bracket \(1\.4, 1\.5\)"):
-            solve_trapezoid_fixed_point(tol=1e-13)
+            solve_trapezoid_fixed_point()
 
 
 @pytest.mark.parametrize("a", [0.3, 1.0, A_STAR, 1.5])
@@ -110,7 +104,7 @@ class TestCMapSlope:
 
 class TestCycleSystem:
     def test_default_start_reaches_paper_values(self):
-        r = solve_cycle_system(tol=1e-12)
+        r = solve_cycle_system()
         got = (r.solution.alpha, r.solution.beta, r.solution.gamma, r.solution.delta)
         for g, p in zip(got, PAPER_CYCLE):
             assert abs(g - p) < 1e-12
@@ -145,47 +139,47 @@ class TestCycleSystem:
     def test_provenance_counts_the_map_steps_taken(self):
         # the default start is the orbit element the provenance names:
         # starting there explicitly must reproduce the default solve
-        r = solve_cycle_system(tol=1e-12)
+        r = solve_cycle_system()
         n = int(re.fullmatch(r"initial guess from (\d+) map iterations of a generic seed",
                              r.provenance).group(1))
         q = AngleTuple(1.2, 2.1, 1.5, TWO_PI - 4.8)
         for _ in range(n):
             q = step(q)
         start = ChartPoint.from_angles(canonicalize(q))
-        explicit = solve_cycle_system(initial=start, tol=1e-12)
+        explicit = solve_cycle_system(initial=start)
         assert (explicit.solution, explicit.iterations) == (r.solution, r.iterations)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("coord", range(3))
     def test_non_finite_initial_is_invalid_input(self, coord, value):
-        # the start is validated before any tol check or sine is taken
+        # the start is validated before any sine is taken
         initial = [1.5, 1.4, 1.5]
         initial[coord] = value
         with pytest.raises(QuadrangleError, match="must lie strictly inside"):
-            solve_cycle_system(initial=ChartPoint(*initial), tol=0.0)
+            solve_cycle_system(initial=ChartPoint(*initial))
 
     def test_budget_met_by_the_last_step(self, monkeypatch):
         # the default solve takes 3 Newton steps; with a budget of 3 its
-        # residual is first compared with tol after the loop
-        full = solve_cycle_system(tol=1e-12)
+        # residual is first compared with NEWTON_TOL after the loop
+        full = solve_cycle_system()
         assert full.iterations == 3
         monkeypatch.setattr(solvers, "CYCLE_MAX_ITER", 3)
-        assert solve_cycle_system(tol=1e-12) == full
+        assert solve_cycle_system() == full
 
     def test_budget_exhausted_raises(self, monkeypatch):
         monkeypatch.setattr(solvers, "CYCLE_MAX_ITER", 2)
         with pytest.raises(SolverError, match=r"above tol 1e-12 after 2 iterations$"):
-            solve_cycle_system(tol=1e-12)
+            solve_cycle_system()
 
     def test_explicit_initial(self):
-        r = solve_cycle_system(initial=ChartPoint(1.5, 1.4, 1.5), tol=1e-12)
+        r = solve_cycle_system(initial=ChartPoint(1.5, 1.4, 1.5))
         assert abs(r.solution.alpha - PAPER_CYCLE[0]) < 1e-10
 
     @pytest.mark.parametrize("initial", [(0.75, 1.45, 1.05), (2.36, 1.06, 1.98)])
     def test_newton_path_near_the_boundary(self, initial):
         # full Newton steps from these starts leave the domain; the line
         # search keeps the iterates inside and still reaches the cycle
-        r = solve_cycle_system(initial=ChartPoint(*initial), tol=1e-12)
+        r = solve_cycle_system(initial=ChartPoint(*initial))
         assert abs(r.solution.alpha - PAPER_CYCLE[0]) < 1e-10
 
     def test_degenerate_root_is_not_returned(self):
@@ -198,7 +192,7 @@ class TestCycleSystem:
         from quadmap.dynamics import rotation_distance, step
         from quadmap.core import reflect_labels_angles
 
-        q = solve_cycle_system(tol=1e-12).solution.as_angles()
+        q = solve_cycle_system().solution.as_angles()
         assert max(abs(a - b) for a, b in zip(
             step(q).as_tuple(), reflect_labels_angles(q).as_tuple())) < 1e-10
         assert rotation_distance(step(step(q)), q) < 1e-10
