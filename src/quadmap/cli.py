@@ -84,7 +84,7 @@ def cmd_step(args) -> tuple[int, str]:
 
 def cmd_iterate(args) -> tuple[int, str]:
     q = _parse_angles(args.angles)
-    traj = iterate(q, max_iter=args.max_iter, tol=args.tol)
+    traj = iterate(q, max_iter=args.max_iter)
     lines = ["iter,alpha,beta,gamma,delta"]
     for i, state in enumerate(traj.path):
         lines.append(f"{i}," + ",".join(fmt(v) for v in state))
@@ -93,7 +93,7 @@ def cmd_iterate(args) -> tuple[int, str]:
 
 def cmd_cycle(args) -> tuple[int, str]:
     q = _parse_angles(args.angles)
-    traj = iterate(q, max_iter=args.max_iter, tol=args.tol)
+    traj = iterate(q, max_iter=args.max_iter)
     payload = {
         "classification": traj.classification,
         "iterations": len(traj.path) - 1,
@@ -127,7 +127,7 @@ def cmd_basin(args) -> tuple[int, str]:
     counts = Counter()
     for i in range(args.samples):
         q0 = sample_angle_tuple(substream(args.seed, i), margin=args.margin)
-        traj = iterate(q0, max_iter=args.max_iter, tol=args.tol)
+        traj = iterate(q0, max_iter=args.max_iter)
         cls = traj.classification
         counts[cls] += 1
         match = traj.cycle.match_distance if traj.cycle else math.inf
@@ -213,16 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, angles=True, tol=True):
+    def common(p, angles=True, max_iter=True):
         if angles:
             p.add_argument("--angles", required=True,
                            help="four comma-separated angles in radians")
-        if tol:
-            p.add_argument("--tol", type=float, default=1e-12)
+        if max_iter:
             p.add_argument("--max-iter", type=int, default=10000)
 
     p = sub.add_parser("step", help="apply the map once")
-    common(p, tol=False)
+    common(p, max_iter=False)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_step)
 
@@ -254,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("stability", help="Jacobian spectrum at a state")
-    common(p, tol=False)
+    common(p, max_iter=False)
     p.add_argument("--order", type=int, choices=(1, 2), default=1)
     p.set_defaults(func=cmd_stability)
 

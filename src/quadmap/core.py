@@ -296,8 +296,8 @@ def balanced_edges_oracle(q: AngleTuple):
     """Independent check of the balanced construction via the closure system.
 
     Solves sum(x_i * u_i) = 0, sum(x_i) = 2*pi for its 1-dimensional affine
-    solution set, clips to x_i >= 0, and returns the segment midpoint with
-    the feasible segment itself.  The null direction is the closure matrix's
+    solution set, clips to x_i >= 0, and returns the feasible segment,
+    whose base is its midpoint.  The null direction is the closure matrix's
     unit vector of signed 3x3 cofactors; Cramer's rule, with the coordinate
     of largest null component set to 0, gives a particular solution.
     """
@@ -330,7 +330,7 @@ def balanced_edges_oracle(q: AngleTuple):
 
     t_mid = (t_lo + t_hi) / 2.0
     base = EdgeTuple(*(b + t_mid * d for b, d in zip(particular, null)))
-    return base, FeasibleSegment(base, tuple(null), t_lo - t_mid, t_hi - t_mid)
+    return FeasibleSegment(base, tuple(null), t_lo - t_mid, t_hi - t_mid)
 
 
 def realize_polygon(q: AngleTuple, e: EdgeTuple) -> PlanarPolygon:

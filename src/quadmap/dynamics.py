@@ -30,6 +30,7 @@ from .core import (
 
 P_MAX = 8           # longest period the detector scans for
 CONFIRMATIONS = 3   # consecutive near-recurrences required to accept a cycle
+CYCLE_TOL = 1e-12   # recurrence tolerance; looser accepts near-square transients
 MATCH_TOL = 1e-6    # classification tolerance; known limit sets are > 0.05 apart
 
 SQUARE = AngleTuple(math.pi / 2, math.pi / 2, math.pi / 2, math.pi / 2)
@@ -162,15 +163,15 @@ def _classify(reps):
     return "other_cycle", math.inf
 
 
-def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajectory:
+def iterate(q0: AngleTuple, max_iter: int = 10000) -> Trajectory:
     """Iterate the map with cycle detection.
 
     A cycle of period p <= P_MAX is accepted after the rotation-quotient
-    sup-norm between states n and n-p stays below tol for CONFIRMATIONS
-    consecutive n.  Cycles are compared in the rotation quotient because a
-    double step returns to a cyclic relabeling of the start, not to the
-    same labeled tuple.  Non-convergence is reported via the
-    classification, not an error.
+    sup-norm between states n and n-p stays below tol = CYCLE_TOL for
+    CONFIRMATIONS consecutive n.  Cycles are compared in the rotation
+    quotient because a double step returns to a cyclic relabeling of the
+    start, not to the same labeled tuple.  Non-convergence is reported via
+    the classification, not an error.
 
     The largest angle is unchanged by relabeling and 1-Lipschitz in the sup
     norm, so |max p - max q| <= rotation_distance(p, q), in floats too
@@ -183,18 +184,18 @@ def iterate(q0: AngleTuple, max_iter: int = 10000, tol: float = 1e-12) -> Trajec
     compares the new peak with the last P_MAX: if none is within tol of it,
     no period recurs.
 
-    The loop validates nothing: the kernel applies AngleTuple's range and
-    sum checks to each float state, and the rotation scan runs on the floats
-    (its least max-difference is below tol exactly when some rotation has
-    all four differences below tol).  Both residuals are measured on
+    AngleTuple validates the start, as step does.  The loop validates
+    nothing: the kernel applies AngleTuple's range and sum checks to each
+    float state, and the rotation scan runs on the floats (its least
+    max-difference is below tol exactly when some rotation has all four
+    differences below tol).  Both residuals are measured on
     Trajectory.path; AngleTuple validates only the period states the cycle
     report re-steps and, when read, Trajectory.states.
     """
     if max_iter < 1:
         raise QuadrangleError("max_iter must be >= 1")
-    if not 0.0 < tol < math.inf:   # a NaN tol fails here too
-        raise QuadrangleError("tol must be positive and finite")
-    q = tuple(q0)
+    tol = CYCLE_TOL
+    q = tuple(AngleTuple(*q0))
     path = [q]
     peaks = [max(q)]
     periods = ()   # the periods that recur at the last test point

@@ -153,7 +153,7 @@ def check_oracle_equivalence() -> CheckResult:
     for _ in range(1000):
         q = sample_angle_tuple(rng)
         e = balanced_edges(q)
-        mid, _ = balanced_edges_oracle(q)
+        mid = balanced_edges_oracle(q).base
         worst_mid = max(worst_mid, relabel_distance(e, mid, IDENTITY))
         worst_gap = max(worst_gap, realize_polygon(q, e).closure_gap)
     ok = worst_mid <= 1e-10 and worst_gap <= 1e-9

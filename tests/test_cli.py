@@ -24,6 +24,7 @@ from quadmap.cli import fmt, main
 from quadmap.core import EdgeTuple, QuadrangleError
 from quadmap.dynamics import (
     A_STAR,
+    CYCLE_TOL,
     GENERAL_CYCLE_ANGLES,
     MATCH_TOL,
     RHO_CYCLE,
@@ -150,20 +151,13 @@ def test_thin_trapezoid_is_rejected_with_one_message(capsys):
 
 
 @pytest.mark.parametrize("argv", TOL_ARGVS)
-def test_nan_tol_exit_2(capsys, argv):
-    # d < nan never holds, so a NaN tolerance used to spend the whole budget
-    code, err = run_bounded(capsys, 10, *argv, "--tol", "nan")
-    assert code == 2
-    assert err.startswith("error:")
-
-
-@pytest.mark.parametrize("argv", TOL_ARGVS)
-def test_inf_tol_exit_2(capsys, argv):
-    # every distance is below inf: cycle and basin reported a period-1
-    # other_cycle after 3 steps
-    code, err = run_bounded(capsys, 10, *argv, "--tol", "inf")
-    assert code == 2
-    assert err.startswith("error:")
+def test_tol_is_unrecognized_exit_2(capsys, argv):
+    # the cycle detector stops at dynamics.CYCLE_TOL, so no subcommand takes
+    # a tolerance, not even the constant's own value
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1e-12"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-12" in capsys.readouterr().err
 
 
 class TestCurve:
@@ -248,8 +242,8 @@ BASIN_CLASS_ITERS_SHA256 = {
 @pytest.mark.parametrize("samples", sorted(BASIN_CLASS_ITERS_SHA256))
 def test_basin_rows_hold_what_the_pins_mean(capsys, samples):
     # beside each byte pin, what its bytes say: every row's class and
-    # iteration count exactly, each converged row within the detector's tol
-    # and the matching tolerance, and a summary that counts the rows
+    # iteration count exactly, each converged row within CYCLE_TOL and the
+    # matching tolerance, and a summary that counts the rows
     code, out = run(capsys, "basin", "--samples", str(samples), "--seed", "42")
     assert code == 0
     *table, summary = out.splitlines()
@@ -260,7 +254,7 @@ def test_basin_rows_hold_what_the_pins_mean(capsys, samples):
     for r in rows[1:]:
         counts[r[5]] = counts.get(r[5], 0) + 1
         if r[5] != "no_convergence":
-            assert float(r[7]) < 1e-12 and float(r[8]) < MATCH_TOL, r
+            assert float(r[7]) < CYCLE_TOL and float(r[8]) < MATCH_TOL, r
     assert summary == "# summary: " + " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     if samples == 1000:
         assert summary == "# summary: general_2cycle=1000"
@@ -837,14 +831,13 @@ def _req(flag, values):
 
 
 MAX_ITER = _req("--max-iter", st.integers(-2, 40))
-TOL = _opt("--tol", FLOATS)
 
 ARGVS = st.one_of(
     st.tuples(st.just(["step"]), ANGLES, st.lists(st.just("--json"), max_size=1)),
-    st.tuples(st.sampled_from([["iterate"], ["cycle"]]), ANGLES, TOL, MAX_ITER),
+    st.tuples(st.sampled_from([["iterate"], ["cycle"]]), ANGLES, MAX_ITER),
     st.tuples(st.just(["basin"]), _req("--samples", st.integers(-1, 2)),
               _opt("--seed", st.integers(-2 ** 64, 2 ** 64)),
-              _opt("--margin", st.floats(0.0, 1.5) | st.just(math.nan)), TOL, MAX_ITER),
+              _opt("--margin", st.floats(0.0, 1.5) | st.just(math.nan)), MAX_ITER),
     st.tuples(st.just(["curve"]), _opt("--from", FLOATS), _opt("--to", FLOATS),
               _req("--samples", st.integers(-1, 20))),
     st.tuples(st.sampled_from([["solve", "trapezoid"], ["solve", "cycle"]]),

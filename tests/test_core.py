@@ -11,6 +11,7 @@ from quadmap.core import (
     TWO_PI,
     AngleTuple,
     EdgeTuple,
+    FeasibleSegment,
     QuadrangleError,
     balanced_edges,
     balanced_edges_oracle,
@@ -613,18 +614,20 @@ def test_step_and_kernel_give_one_answer(q, entries, sum_tol):
 
 class TestOracle:
     def test_square_segment(self):
-        mid, seg = balanced_edges_oracle(AngleTuple(*SQUARE))
-        assert relabel_distance(mid, EdgeTuple(*SQUARE), IDENTITY) < 1e-10
+        seg = balanced_edges_oracle(AngleTuple(*SQUARE))
+        # the segment alone: its base is the midpoint
+        assert type(seg) is FeasibleSegment
+        assert relabel_distance(seg.base, EdgeTuple(*SQUARE), IDENTITY) < 1e-10
         assert seg.t_max - seg.t_min > 0
 
     def test_midpoint_matches_formula(self, random_angles):
         for q in random_angles:
-            mid, _ = balanced_edges_oracle(q)
+            mid = balanced_edges_oracle(q).base
             assert relabel_distance(mid, balanced_edges(q), IDENTITY) <= 1e-10
 
     def test_segment_endpoints_are_triangles(self, random_angles):
         for q in random_angles[:50]:
-            _, seg = balanced_edges_oracle(q)
+            seg = balanced_edges_oracle(q)
             can = canonicalize(q)
             expected = {
                 tuple(round(v, 8) for v in sorted(
@@ -642,7 +645,7 @@ class TestOracle:
 
     def test_direction_sums_to_zero(self, random_angles):
         for q in random_angles[:20]:
-            _, seg = balanced_edges_oracle(q)
+            seg = balanced_edges_oracle(q)
             assert abs(sum(seg.direction)) < 1e-10
 
     def test_oracle_takes_seven_determinants(self, monkeypatch, random_angles):
@@ -687,8 +690,8 @@ class TestOracle:
         for margin in (0.05, 1e-3, 0.0):
             for _ in range(1000):
                 q = sample_angle_tuple(rng, margin)
-                mid, seg = balanced_edges_oracle(q)
-                got = [*mid, *seg.direction, seg.t_min, seg.t_max]
+                seg = balanced_edges_oracle(q)
+                got = [*seg.base, *seg.direction, seg.t_min, seg.t_max]
                 assert [v.hex() for v in got] == [v.hex() for v in reference(q)], q
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quadmap.core as core
+import quadmap.dynamics as dynamics
 from quadmap.core import (
     IDENTITY,
     TWO_PI,
@@ -19,6 +20,7 @@ from quadmap.dynamics import (
     A_STAR,
     C_AT_ZERO,
     CONFIRMATIONS,
+    CYCLE_TOL,
     GENERAL_CYCLE_ANGLES,
     KNOWN_CYCLES,
     P_MAX,
@@ -172,7 +174,7 @@ class TestIterate:
         # detector accepts twice its period first
         q0 = AngleTuple(1.5707963267956973, 1.5707963267924157,
                         1.5707963267965261, 1.5707963267949472)
-        traj = iterate(q0, max_iter=10000, tol=1e-12)
+        traj = iterate(q0)
         assert traj.cycle.period == 2
         assert traj.classification == "square_fixed"
         assert traj.cycle.match_distance < 1e-11
@@ -190,7 +192,7 @@ class TestIterate:
 
     def test_generic_seed(self):
         q0 = AngleTuple(1.2, 2.1, 1.5, 2 * PI - 4.8)
-        traj = iterate(q0, max_iter=10000, tol=1e-12)
+        traj = iterate(q0)
         assert traj.cycle.period == 2
         assert traj.classification == "general_2cycle"
         q1, q2 = KNOWN_CYCLES["general_2cycle"]
@@ -198,7 +200,7 @@ class TestIterate:
         assert min(dihedral_distance(r0, q1), dihedral_distance(r0, q2)) < 1e-6
 
     def test_trapezoid_seed(self):
-        traj = iterate(trapezoid_angles(1.0), max_iter=10000, tol=1e-12)
+        traj = iterate(trapezoid_angles(1.0))
         assert traj.cycle.period == 2
         assert traj.classification == "trapezoid_2cycle"
         t1, t2 = KNOWN_CYCLES["trapezoid_2cycle"]
@@ -211,13 +213,14 @@ class TestIterate:
 
     def test_trajectory_consistency(self):
         q0 = AngleTuple(1.2, 2.1, 1.5, 2 * PI - 4.8)
-        traj = iterate(q0, max_iter=50, tol=1e-15)
+        # cut at 50 iterations, long before the 332 this orbit takes to its cycle
+        traj = iterate(q0, max_iter=50)
         for a, b in zip(traj.states, traj.states[1:]):
             assert relabel_distance(step(a), b, IDENTITY) < 1e-12
 
     def test_no_convergence_classification(self):
         q0 = AngleTuple(1.2, 2.1, 1.5, 2 * PI - 4.8)
-        traj = iterate(q0, max_iter=5, tol=1e-12)
+        traj = iterate(q0, max_iter=5)
         assert traj.cycle is None
         assert traj.classification == "no_convergence"
 
@@ -230,7 +233,7 @@ class TestIterate:
         assert rotation_distance(q, reps[0]) < 1e-11
 
 
-def reference_iterate(q0, max_iter=10000, tol=1e-12):
+def reference_iterate(q0, max_iter=10000, tol=CYCLE_TOL):
     """Reference for iterate on the validated path: public step, the full
     rotation_distance for every period at every step, CONFIRMATIONS streaks."""
     states = [q0]
@@ -338,11 +341,21 @@ def _coarse_cases():
             for name, q0 in starts for tol in COARSE_TOLS]
 
 
+def iterate_case(monkeypatch, q0, kwargs):
+    """iterate on a reference case, whose tol reaches it through CYCLE_TOL;
+    returns the trajectory and the tol it ran at."""
+    kwargs = dict(kwargs)
+    tol = kwargs.pop("tol", CYCLE_TOL)
+    monkeypatch.setattr(dynamics, "CYCLE_TOL", tol)
+    return iterate(q0, **kwargs), tol
+
+
 @pytest.mark.parametrize("q0, kwargs", _reference_cases())
-def test_iterate_equals_reference_loop(q0, kwargs):
+def test_iterate_equals_reference_loop(monkeypatch, q0, kwargs):
     # record equality compares the floats exactly: states,
     # period, representatives, classification, residual and match distance
-    assert iterate(q0, **kwargs) == reference_iterate(q0, **kwargs)
+    traj, _ = iterate_case(monkeypatch, q0, kwargs)
+    assert traj == reference_iterate(q0, **kwargs)
 
 
 def test_coarse_cases_reach_both_sides_of_the_prefilter(monkeypatch):
@@ -361,7 +374,7 @@ def test_coarse_cases_reach_both_sides_of_the_prefilter(monkeypatch):
     for case in _coarse_cases():
         q0, kwargs = case.values
         tol = kwargs["tol"]
-        iterate(q0, **kwargs)
+        iterate_case(monkeypatch, q0, kwargs)
     assert all(ratio < 1.0 for ratio, _ in seen)
     assert any(ratio > 0.5 and not hit for ratio, hit in seen)
 
@@ -397,7 +410,6 @@ def test_peak_window_hides_no_pair(monkeypatch, q0, kwargs):
     # At every test point it sees each period that recurs there, so the
     # peak test at a test point hides no pair.  Between test points it sees only
     # periods that recur at the test point just before or just after
-    tol = kwargs.get("tol", 1e-12)
     calls = []
 
     def recording(p, q):
@@ -405,7 +417,7 @@ def test_peak_window_hides_no_pair(monkeypatch, q0, kwargs):
         return rotation_distance(p, q)
 
     monkeypatch.setattr("quadmap.dynamics.rotation_distance", recording)
-    traj = iterate(q0, **kwargs)
+    traj, tol = iterate_case(monkeypatch, q0, kwargs)
     monkeypatch.undo()
     path = traj.path
     index = {id(s): n for n, s in enumerate(path)}
@@ -419,7 +431,7 @@ def test_peak_window_hides_no_pair(monkeypatch, q0, kwargs):
             assert any(p in _recurring(path, t, tol) for t in near)
 
 
-def test_cases_reach_every_detector_path():
+def test_cases_reach_every_detector_path(monkeypatch):
     # the reference cases must accept at every residue of n mod
     # CONFIRMATIONS, so acceptance is tested at and after a test point, and
     # must hold a test point with a recurring period that is not accepted
@@ -428,8 +440,7 @@ def test_cases_reach_every_detector_path():
     lapsed = 0
     for case in _reference_cases():
         q0, kwargs = case.values
-        tol = kwargs.get("tol", 1e-12)
-        traj = iterate(q0, **kwargs)
+        traj, tol = iterate_case(monkeypatch, q0, kwargs)
         last = len(traj.path) - 1
         if traj.cycle:
             residues.add(last % CONFIRMATIONS)
@@ -453,8 +464,9 @@ def test_states_are_built_on_first_access(monkeypatch):
     traj = iterate(q0)
     n, p = len(traj.path) - 1, traj.cycle.period
     assert n > 100 and p == 2
-    # the p states re-stepped, and the image of each public step of them
-    assert built["states"] == 2 * p
+    # the start, the p states re-stepped, and the image of each public step
+    # of them
+    assert built["states"] == 1 + 2 * p
     built.clear()
     states = traj.states
     assert built["states"] == n + 1
@@ -515,9 +527,13 @@ def test_iterate_still_checks_every_kernel_state(monkeypatch, sines, sum_tol, me
     # iterate's states skip AngleTuple's checks because the float kernel
     # applies them; a kernel producing a bad edge must still raise.  Two
     # iterations cannot accept a cycle, so no re-step through step runs and
-    # only the loop's kernel can raise
-    monkeypatch.setattr(core, "sin", lambda x: sines.get(x, math.sin(x)))
-    monkeypatch.setattr(core, "SUM_TOL", sum_tol)
+    # only the loop's kernel can raise.  The start is validated before the
+    # kernel takes its first sine, so the sum check is broken only from there
+    def sine(x):
+        monkeypatch.setattr(core, "SUM_TOL", sum_tol)
+        return sines.get(x, math.sin(x))
+
+    monkeypatch.setattr(core, "sin", sine)
     with pytest.raises(QuadrangleError, match=message):
         iterate(SQUARE, max_iter=2)
 
@@ -525,8 +541,8 @@ def test_iterate_still_checks_every_kernel_state(monkeypatch, sines, sum_tol, me
 def test_loop_takes_five_sines_and_validates_nothing(monkeypatch):
     # a structure guard for iterate's hot path: each iteration takes five
     # sines, sin(d) once for both endpoint triangles, and constructs no
-    # validated type; only the re-step of the cycle representatives, a fixed
-    # cost, validates
+    # validated type; only the start and the re-step of the cycle
+    # representatives, a fixed cost, validate
     counts = Counter()
 
     def counting(name, fn):
@@ -543,14 +559,14 @@ def test_loop_takes_five_sines_and_validates_nothing(monkeypatch):
     assert counts == {"sin": 6, "angles": 1, "edges": 3}
     counts.clear()
     assert iterate(q0, max_iter=40).cycle is None   # no cycle, no re-step
-    assert counts == {"sin": 5 * 40}
+    assert counts == {"sin": 5 * 40, "angles": 1}
     counts.clear()
     traj = iterate(q0)
     n, p = len(traj.path) - 1, traj.cycle.period
     assert n > 100 and p == 2
-    # five sines per iteration, and p re-steps of the representatives from
-    # the p states built at the boundary
-    assert counts == {"sin": 5 * n + 6 * p, "angles": 2 * p, "edges": 3 * p}
+    # five sines per iteration, the start, and p re-steps of the
+    # representatives from the p states built at the boundary
+    assert counts == {"sin": 5 * n + 6 * p, "angles": 1 + 2 * p, "edges": 3 * p}
 
 
 def test_sampled_components_are_plain_floats(rng):
@@ -575,10 +591,29 @@ def test_representatives_show_a_corrupted_public_kernel(monkeypatch):
     assert iterate(q0).classification != "general_2cycle"
 
 
-@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
-def test_iterate_rejects_non_positive_tol(tol):
-    with pytest.raises(QuadrangleError, match="tol must be positive and finite"):
-        iterate(SQUARE, tol=tol)
+@pytest.mark.parametrize("q0, message", [
+    # the angle sum is 4, not 2*pi
+    ((1.0, 1.0, 1.0, 1.0), "angle sum 4.0 differs from 2"),
+    # the sum is 2*pi, but alpha = 0 and delta > pi
+    ((0.0, 2.0, 1.0, 3.2831853071795862), "alpha = 0.0 must lie strictly inside"),
+], ids=["sum", "range"])
+def test_iterate_validates_its_start(q0, message):
+    # the loop's kernel checks each image, not the start: unchecked, both
+    # starts ran to a verdict (trapezoid_2cycle and general_2cycle)
+    with pytest.raises(QuadrangleError, match=message) as raised:
+        iterate(q0)
+    with pytest.raises(QuadrangleError) as built:
+        AngleTuple(*q0)
+    assert str(raised.value) == str(built.value)
+
+
+def test_near_square_transients_are_not_the_square():
+    # starts within 1e-10 of the square, a saddle, pass near it before
+    # leaving; a looser CYCLE_TOL accepts some of them as square_fixed
+    # (1e-11: 8 of these 50, 1e-10: all 50)
+    for i in range(50):
+        q0 = sample_angle_tuple(substream(3, i), margin=1.5707963267)
+        assert iterate(q0).classification != "square_fixed", i
 
 
 @settings(max_examples=300, deadline=None)
@@ -595,7 +630,7 @@ def test_parallelograms_step_to_the_square(alpha):
     assert traj.classification == "square_fixed"
     # accepted at period 1 by the earliest streak: from n = 1 when the start
     # is itself within tol of its image, from n = 2 otherwise
-    near = rotation_distance(traj.path[1], traj.path[0]) < 1e-12
+    near = rotation_distance(traj.path[1], traj.path[0]) < CYCLE_TOL
     assert len(traj.path) - 1 == (3 if near else 4)
 
 

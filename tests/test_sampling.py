@@ -88,13 +88,13 @@ def test_cofactor_oracle_agrees_with_svd():
     rng = random.Random(2024)
     for _ in range(1000):
         q = sample_angle_tuple(rng)
-        mid, seg = balanced_edges_oracle(q)
+        seg = balanced_edges_oracle(q)
         m, particular, null = _svd_oracle(q)
         # the same null line, up to sign, in unit length
         assert min(np.max(np.abs(np.array(seg.direction) - s * null)) for s in (1, -1)) < 1e-14
-        assert all(type(v) is float for v in (*seg.direction, *mid.as_tuple()))
+        assert all(type(v) is float for v in (*seg.direction, *seg.base.as_tuple()))
         # the midpoint solves the closure system, as the least-squares point does
-        for point in (mid.as_tuple(), particular):
+        for point in (seg.base.as_tuple(), particular):
             assert np.max(np.abs(m @ point - [0.0, 0.0, core.TWO_PI])) < 1e-12
 
 
