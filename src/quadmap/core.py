@@ -156,10 +156,15 @@ def _canonical_shift(t):
     raise QuadrangleError("no canonical labeling found; input angles inconsistent")
 
 
+def _angles(q) -> AngleTuple:
+    """Any angle 4-tuple q as an AngleTuple: a plain one is checked, an AngleTuple is not."""
+    return q if type(q) is AngleTuple else AngleTuple(*q)
+
+
 def canonicalize(q: AngleTuple) -> AngleTuple:
     """q rotated by the smallest cyclic shift with delta+alpha <= pi and gamma+delta <= pi.
 
-    Returns the rotated AngleTuple; _canonical_shift gives the shift.  Such
+    q is any angle 4-tuple (_angles); _canonical_shift gives the shift.  Such
     a shift exists when the angle sum S is at most about 2*pi + 2*_EDGE_SLACK
     (2e-12): the four adjacent pair sums satisfy s1+s3 = s2+s4 = S, so one of
     s1, s3 and one of s2, s4 is <= pi + _EDGE_SLACK, and two such sums meet
@@ -167,6 +172,7 @@ def canonicalize(q: AngleTuple) -> AngleTuple:
     there the shift may not exist: README's 1.0,2.141592653839793,1.3,
     1.841592653839793 (S = 2*pi + 5e-10) raises QuadrangleError.
     """
+    q = _angles(q)
     return AngleTuple(*rotate_labels(q, _canonical_shift(q)))
 
 
@@ -214,22 +220,16 @@ def degenerate_edges_second(gamma, delta) -> EdgeTuple:
 def balanced_edges(q: AngleTuple) -> EdgeTuple:
     """Componentwise average of the two degenerate endpoint edge tuples.
 
-    Builds the endpoints in the canonical labeling and rotates the result
-    back to the input labeling, so the construction is rotation-equivariant.
+    q is any angle 4-tuple (_angles).  Builds the endpoints in the canonical labeling
+    and rotates them back to q's labeling, so the construction is rotation-equivariant.
     """
+    q = _angles(q)
     r = _canonical_shift(q)
     a, g, d = q[r], q[r - 2], q[r - 1]
     f1, f2, f3, f4 = degenerate_edges_first(a, d)
     s1, s2, s3, s4 = degenerate_edges_second(g, d)
-    m1, m2, m3, m4 = (f1 + s1) / 2.0, (f2 + s2) / 2.0, (f3 + s3) / 2.0, (f4 + s4) / 2.0
-    # the midpoint rotated back by r: (m1, m2, m3, m4)[-r:] + (...)[:-r]
-    if r == 0:
-        return EdgeTuple(m1, m2, m3, m4)
-    if r == 1:
-        return EdgeTuple(m4, m1, m2, m3)
-    if r == 2:
-        return EdgeTuple(m3, m4, m1, m2)
-    return EdgeTuple(m2, m3, m4, m1)
+    mid = ((f1 + s1) / 2.0, (f2 + s2) / 2.0, (f3 + s3) / 2.0, (f4 + s4) / 2.0)
+    return EdgeTuple(*rotate_labels(mid, -r))
 
 
 def _balanced_edge_floats(q):
@@ -259,7 +259,7 @@ def _balanced_edge_floats(q):
     if not (0.0 <= x1s < _HI and 0.0 <= x3s < _HI and 0.0 <= x4s < _HI
             and abs(x1s + x3s + x4s - TWO_PI) <= SUM_TOL):
         raise QuadrangleError(_edge_error(x1s, 0.0, x3s, x4s, True))
-    # the midpoint, rotated back as balanced_edges' mid[-r:] + mid[:-r]
+    # the midpoint, rotated back as balanced_edges' rotate_labels(mid, -r)
     m1, m2, m3, m4 = (x1f + x1s) / 2.0, (x2f + 0.0) / 2.0, (0.0 + x3s) / 2.0, (x4f + x4s) / 2.0
     if r == 0:
         o1, o2, o3, o4 = m1, m2, m3, m4
@@ -293,7 +293,7 @@ def _det3(c0, c1, c2):
 
 
 def balanced_edges_oracle(q: AngleTuple):
-    """Independent check of the balanced construction via the closure system.
+    """Independent check of balanced_edges(q), q any angle 4-tuple, via the closure system.
 
     Solves sum(x_i * u_i) = 0, sum(x_i) = 2*pi for its 1-dimensional affine
     solution set, clips to x_i >= 0, and returns the feasible segment,
@@ -301,6 +301,7 @@ def balanced_edges_oracle(q: AngleTuple):
     unit vector of signed 3x3 cofactors; Cramer's rule, with the coordinate
     of largest null component set to 0, gives a particular solution.
     """
+    q = _angles(q)
     cols = [(math.cos(h), math.sin(h), 1.0) for h in _edge_headings(q)]
     c0, c1, c2, c3 = cols
     # cofactor j is (-1)**j times the determinant of the columns other than j

@@ -87,7 +87,7 @@ class Trajectory(namedtuple("Trajectory", "path cycle")):
 
 
 def step(q: AngleTuple) -> AngleTuple:
-    """One application of the map: new angles are the balanced edge lengths of q."""
+    """One step of the map from any angle 4-tuple q: new angles are its balanced edge lengths."""
     return AngleTuple(*balanced_edges(q))
 
 
@@ -230,12 +230,12 @@ def iterate(q0: AngleTuple, max_iter: int = 10000) -> Trajectory:
 
 
 def _trajectory(path, period):
-    # iterate's API boundary: the public step re-steps the period states before
-    # the last; a hypothesis property, not this, holds it bitwise equal to the kernel
+    # iterate's API boundary: the public step checks and re-steps the period states
+    # before the last; a hypothesis property, not this, holds it bitwise equal to the kernel
     path = tuple(path)
     if period is None:
         return Trajectory(path, None)
-    reps = tuple(step(AngleTuple(*t)) for t in path[-1 - period:-1])
+    reps = tuple(step(t) for t in path[-1 - period:-1])
     classification, match = _classify(reps)
     residual = rotation_distance(path[-1], path[-1 - period])
     cycle = CycleInfo(period, reps, classification, residual, match)

@@ -10,7 +10,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 
-from .core import TWO_PI, AngleTuple, QuadrangleError, _det3, _triangle_edges, canonicalize
+from .core import TWO_PI, AngleTuple, QuadrangleError, _angles, _det3, _triangle_edges, canonicalize
 from .dynamics import c_map, step
 
 # central-difference step of every finite-difference derivative
@@ -111,8 +111,8 @@ def cycle_system_rhs(p: ChartPoint) -> ChartPoint:
     return ChartPoint((first_x1 + second_x1) / 2.0, second_x3 / 2.0, first_x2 / 2.0)
 
 
-def _cycle_residual(v):
-    return tuple(r - x for r, x in zip(cycle_system_rhs(ChartPoint(*v)), v))
+def _cycle_residual(p: ChartPoint):
+    return tuple(r - x for r, x in zip(cycle_system_rhs(p), p))
 
 
 def _solve3(a, b):
@@ -143,28 +143,28 @@ def solve_cycle_system(initial: ChartPoint | None = None) -> SolveResult:
         initial.as_angles()   # the implied beta must be a valid angle too
         provenance = "caller-supplied initial guess"
 
-    v = tuple(initial)
+    v = initial
     res = _cycle_residual(v)
     norm = max(map(abs, res))
     for it in range(1, CYCLE_MAX_ITER + 1):
         if norm <= NEWTON_TOL:
-            return SolveResult(ChartPoint(*v), norm, it - 1, provenance)
-        jac = fd_jacobian(cycle_system_rhs, ChartPoint(*v))
+            return SolveResult(v, norm, it - 1, provenance)
+        jac = fd_jacobian(cycle_system_rhs, v)
         s = _solve3([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(jac)],
                     [-r for r in res])
         lam = 1.0
         while True:
-            trial = tuple(x + lam * d for x, d in zip(v, s))
+            trial = ChartPoint(*(x + lam * d for x, d in zip(v, s)))
             trial_res = _cycle_residual(trial)
             trial_norm = max(map(abs, trial_res))
-            if trial_norm < norm and _inside(ChartPoint(*trial), FD_STEP):
+            if trial_norm < norm and _inside(trial, FD_STEP):
                 break
             lam *= 0.5
             if lam < 2.0 ** -20:
                 raise SolverError("line search damping collapsed")
         v, res, norm = trial, trial_res, trial_norm
     if norm <= NEWTON_TOL:
-        return SolveResult(ChartPoint(*v), norm, CYCLE_MAX_ITER, provenance)
+        return SolveResult(v, norm, CYCLE_MAX_ITER, provenance)
     raise SolverError(f"residual {norm} above tol {NEWTON_TOL} after {CYCLE_MAX_ITER} iterations")
 
 
@@ -219,10 +219,10 @@ def eigenvalue_moduli_3x3(m) -> tuple:
 
 
 def stability_report(q: AngleTuple, map_order: int = 1) -> StabilityReport:
-    """Jacobian spectrum of the map (or its square) at a state, in the chart."""
+    """Jacobian spectrum of the map (or its square) at any angle 4-tuple q, in the chart."""
     if map_order not in (1, 2):
         raise QuadrangleError("map_order must be 1 or 2")
-    p = ChartPoint.from_angles(q)
+    p = ChartPoint.from_angles(_angles(q))
 
     def chart_map(c: ChartPoint) -> ChartPoint:
         image = c.as_angles()

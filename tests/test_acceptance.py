@@ -131,6 +131,29 @@ def test_spectral_radius_gates_are_1e_4(monkeypatch, order):
     assert not verify.check_stability_spectra().passed
 
 
+class SolverCalled(Exception):
+    pass
+
+
+def test_only_two_checks_run_a_solver(monkeypatch):
+    # the others start from the published table in dynamics, which these
+    # two hold the solvers to; each of them ran a solver of its own
+    def solver(*args, **kwargs):
+        raise SolverCalled
+
+    monkeypatch.setattr(verify, "solve_trapezoid_fixed_point", solver)
+    monkeypatch.setattr(verify, "solve_cycle_system", solver)
+    solving = set()
+    for check in CHECKS:
+        try:
+            result = check()
+        except SolverCalled:
+            solving.add(check.__name__)
+        else:
+            assert result.passed, f"{result.name}: {result.detail}"
+    assert solving == {"check_trapezoid_fixed_point", "check_general_cycle_solution"}
+
+
 def test_cli_verify_end_to_end(capsys):
     start = time.perf_counter()
     code = main(["verify"])

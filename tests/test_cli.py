@@ -160,6 +160,17 @@ def test_tol_is_unrecognized_exit_2(capsys, argv):
     assert "unrecognized arguments: --tol 1e-12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("cycle", "--angles", "1.2,2.1,1.5,1.4831853071795865"),
+    ("basin", "--samples", "2"),
+], ids=["cycle", "basin"])
+def test_max_iter_zero_exit_2(capsys, argv):
+    # iterate's guard: without it, no step would run and both would report
+    # no_convergence
+    code, err = run_bounded(capsys, 10, *argv, "--max-iter", "0")
+    assert (code, err) == (2, "error: max_iter must be >= 1\n")
+
+
 class TestCurve:
     def test_endpoint_and_monotone(self, capsys):
         code, out = run(capsys, "curve", "--from", "1.4",

@@ -25,6 +25,7 @@ from quadmap.core import (
 )
 from quadmap.dynamics import step
 from quadmap.sampling import sample_angle_tuple
+from quadmap.solvers import stability_report
 
 PI = math.pi
 SQUARE = (PI / 2, PI / 2, PI / 2, PI / 2)
@@ -416,6 +417,30 @@ def _outcome(fn, t):
         return fn(t)
     except QuadrangleError as exc:
         return f"error: {exc}"
+
+
+# the paths that used to take a plain tuple unchecked: step and balanced_edges
+# returned a state for the angle sum 4, canonicalize named beta for the bad
+# delta, stability_report raised AttributeError and the oracle returned a segment
+@pytest.mark.parametrize("fn", [step, balanced_edges, canonicalize, balanced_edges_oracle,
+                                stability_report], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("t, message", [
+    ((1.0, 1.0, 1.0, 1.0), "angle sum 4.0 differs from 2*pi"),
+    ((0.0, 2.0, 1.0, 3.2831853071795862), "alpha = 0.0 must lie strictly inside (0, pi)"),
+], ids=["sum", "range"])
+def test_plain_tuples_are_checked_as_angle_tuples(fn, t, message):
+    with pytest.raises(QuadrangleError) as raised:
+        fn(t)
+    assert str(raised.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=_records())
+def test_a_plain_tuple_has_the_edges_of_its_angle_tuple(record):
+    # balanced_edges(t) raises AngleTuple(*t)'s message, or gives what the
+    # AngleTuple gives: the same edges or the same rejection
+    _, t = record
+    assert _outcome(balanced_edges, t) == _outcome(lambda t: balanced_edges(AngleTuple(*t)), t)
 
 
 def _partner(x, target):

@@ -607,6 +607,13 @@ def test_iterate_validates_its_start(q0, message):
     assert str(raised.value) == str(built.value)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_iterate_takes_at_least_one_step(max_iter):
+    # unguarded, an orbit of no steps would read no_convergence
+    with pytest.raises(QuadrangleError, match="max_iter must be >= 1"):
+        iterate(AngleTuple(1.2, 2.1, 1.5, 2 * PI - 4.8), max_iter=max_iter)
+
+
 def test_near_square_transients_are_not_the_square():
     # starts within 1e-10 of the square, a saddle, pass near it before
     # leaving; a looser CYCLE_TOL accepts some of them as square_fixed

@@ -5,8 +5,8 @@ formula, written out here rather than called through quadmap, and the
 double-precision value in `dynamics` must be its correctly rounded double:
 within half an ulp, so that a neighbouring double fails.  The closed-form
 slope c'(a) is held to mpmath's derivative of the same c at 50 digits, and
-the published spectral radius at the square to the exact modulus of one
-smooth piece of f there.
+the published spectral radius at the square to the exact moduli of the
+four smooth pieces of f there.
 """
 
 import math
@@ -14,8 +14,8 @@ import math
 import mpmath
 import pytest
 
-from quadmap.dynamics import A_STAR, C_AT_ZERO, GENERAL_CYCLE_ANGLES, RHO_SQUARE
-from quadmap.solvers import c_map_slope
+from quadmap.dynamics import A_STAR, C_AT_ZERO, GENERAL_CYCLE_ANGLES, RHO_SQUARE, SQUARE
+from quadmap.solvers import c_map_slope, stability_report
 
 
 @pytest.fixture(autouse=True)
@@ -53,16 +53,38 @@ def cycle_relations(alpha, gamma, delta):
             first_x2 / 2 - delta)
 
 
-def shift0_map(alpha, gamma, delta):
-    """f in the (alpha, gamma, delta) chart where the canonical shift is 0.
+def shift_map(r, alpha, gamma, delta):
+    """The smooth piece of f where the canonical shift is r, in the (alpha, gamma, delta) chart.
 
-    Its new alpha, gamma, delta are the balanced edges x1, x3, x4: the
-    average of the x3 = 0 endpoint, the triangle on (alpha, delta), and the
-    x2 = 0 endpoint, the triangle on (gamma, delta).
+    The state rotated by r gets the two endpoints cycle_relations describes;
+    their average, rotated back by -r, is its balanced edges, whose x1, x3, x4
+    are the new alpha, gamma, delta.
     """
-    first_x4, _, first_x1 = triangle_edges(alpha, delta)
-    second_x1, second_x3, second_x4 = triangle_edges(gamma, delta)
-    return (first_x1 + second_x1) / 2, second_x3 / 2, (first_x4 + second_x4) / 2
+    q = (alpha, 2 * mpmath.pi - alpha - gamma - delta, gamma, delta)
+    a, _, g, d = q[r:] + q[:r]
+    first_x4, first_x2, first_x1 = triangle_edges(a, d)
+    second_x1, second_x3, second_x4 = triangle_edges(g, d)
+    mid = ((first_x1 + second_x1) / 2, first_x2 / 2, second_x3 / 2, (first_x4 + second_x4) / 2)
+    x1, _, x3, x4 = mid[-r:] + mid[:-r]
+    return x1, x3, x4
+
+
+def piece_jacobian(r):
+    """The shift-r piece's Jacobian at the square, at the working precision."""
+    square = (mpmath.pi / 2,) * 3
+    return mpmath.matrix([
+        [mpmath.diff(lambda *x: shift_map(r, *x)[i], square, order)
+         for order in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        for i in range(3)])
+
+
+# the four pieces' Jacobians at the square, divided by pi/4
+PIECE_JACOBIANS = (
+    [[-2, 1, -1], [0, 1, 1], [1, -2, -1]],
+    [[-2, -1, -3], [0, -1, -1], [1, 0, 1]],
+    [[0, -1, -1], [2, -1, 1], [-1, 0, -1]],
+    [[0, 1, 1], [2, 1, 3], [-1, -2, -3]],
+)
 
 
 def test_a_star_is_the_root_of_c():
@@ -98,21 +120,29 @@ def test_c_map_slope_matches_the_derivative_of_c(slope_grid):
 
 def test_square_spectral_radius_is_pi_sqrt2_over_4():
     # all four pair sums of the square are pi, where the canonical shift
-    # switches, so f is only piecewise smooth there; relabeling conjugates
-    # the pieces, so the shift-0 piece's spectrum is every piece's
-    square = (mpmath.pi / 2,) * 3
-    jacobian = mpmath.matrix([
-        [mpmath.diff(lambda *x: shift0_map(*x)[i], square, order)
-         for order in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        for i in range(3)])
+    # switches, so f is only piecewise smooth there; the four pieces have
+    # four different Jacobians, and every one has the same spectrum
     quarter_pi = mpmath.pi / 4
     tiny = mpmath.mpf(10) ** -35
-    expected = quarter_pi * mpmath.matrix([[-2, 1, -1], [0, 1, 1], [1, -2, -1]])
-    assert mpmath.mnorm(jacobian - expected, 1) < tiny
-    eigenvalues = sorted(mpmath.eig(jacobian)[0], key=lambda z: z.imag)
-    for got, exact in zip(eigenvalues, (quarter_pi * (-1 - 1j), 0, quarter_pi * (-1 + 1j))):
-        assert abs(got - exact) < tiny
-    # the moduli are pi*sqrt(2)/4 twice and 0: the published 1.1107
     rho = mpmath.pi * mpmath.sqrt(2) / 4
-    assert abs(max(abs(z) for z in eigenvalues) - rho) < tiny
+    for r, scaled in enumerate(PIECE_JACOBIANS):
+        jacobian = piece_jacobian(r)
+        assert mpmath.mnorm(jacobian - quarter_pi * mpmath.matrix(scaled), 1) < tiny
+        eigenvalues = sorted(mpmath.eig(jacobian)[0], key=lambda z: z.imag)
+        for got, exact in zip(eigenvalues, (quarter_pi * (-1 - 1j), 0, quarter_pi * (-1 + 1j))):
+            assert abs(got - exact) < tiny
+        # the moduli are pi*sqrt(2)/4 twice and 0: the published 1.1107
+        assert abs(max(abs(z) for z in eigenvalues) - rho) < tiny
     assert RHO_SQUARE == round(float(rho), 4) == 1.1107
+
+
+def test_central_differences_at_the_square_average_the_pieces():
+    # each column of a central difference at the square averages the pieces
+    # on the two sides of a switching surface; the matrix that results is
+    # the mean of all four pieces, which is no piece's Jacobian
+    mean = [[sum(m[i][j] for m in PIECE_JACOBIANS) / 4 for j in range(3)] for i in range(3)]
+    assert mean == [[-1, 0, -1], [1, 0, 1], [0, -1, -1]]
+    assert mean not in PIECE_JACOBIANS
+    jacobian = stability_report(SQUARE).jacobian
+    assert max(abs(jacobian[i][j] - math.pi / 4 * mean[i][j])
+               for i in range(3) for j in range(3)) <= 4e-7
