@@ -5,8 +5,12 @@ numerically equal the balanced edge lengths of q.  Generic orbits converge
 to an attracting 2-cycle; the square is a fixed point that repels generic
 starts but attracts the parallelogram line, which reaches it in one step;
 isosceles trapezoids form an invariant family with a 2-cycle that attracts
-within the family only.  Across the family it is a saddle: f^2, relabeled back
-onto the cycle, has moduli 1.1666 (transverse) and c'(a*) = 0.803 (in-family).
+within the family only.  Across the family it is a saddle on a switching
+surface: its states have two adjacent pair sums of exactly pi, where the
+canonical shift switches, so f^2, relabeled back onto the cycle, has two smooth
+pieces there.  Both have the moduli 1.16656... (transverse) and c'(a*) = 0.803
+(in-family), and a float orbit stays on the cycle only because the kernel keeps
+the trapezoid family invariant in its own arithmetic.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ double-precision value in `dynamics` must be its correctly rounded double:
 within half an ulp, so that a neighbouring double fails.  The closed-form
 slope c'(a) is held to mpmath's derivative of the same c at 50 digits, and
 the published spectral radius at the square to the exact moduli of the
-four smooth pieces of f there.
+four smooth pieces of f there.  The trapezoid 2-cycle's two smooth pieces
+share one spectrum, its transverse multiplier held to 30 digits.
 """
 
 import math
@@ -14,8 +15,9 @@ import math
 import mpmath
 import pytest
 
-from quadmap.dynamics import A_STAR, C_AT_ZERO, GENERAL_CYCLE_ANGLES, RHO_SQUARE, SQUARE
-from quadmap.solvers import c_map_slope, stability_report
+from quadmap.core import rotate_labels
+from quadmap.dynamics import A_STAR, C_AT_ZERO, GENERAL_CYCLE_ANGLES, RHO_SQUARE, SQUARE, step
+from quadmap.solvers import ChartPoint, c_map_slope, fd_jacobian, stability_report
 
 
 @pytest.fixture(autouse=True)
@@ -69,13 +71,28 @@ def shift_map(r, alpha, gamma, delta):
     return x1, x3, x4
 
 
-def piece_jacobian(r):
-    """The shift-r piece's Jacobian at the square, at the working precision."""
-    square = (mpmath.pi / 2,) * 3
+def chart_jacobian(chart_map, point):
+    """The Jacobian of a map of the (alpha, gamma, delta) chart at a point, at the working precision."""
     return mpmath.matrix([
-        [mpmath.diff(lambda *x: shift_map(r, *x)[i], square, order)
+        [mpmath.diff(lambda *x: chart_map(*x)[i], point, order)
          for order in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         for i in range(3)])
+
+
+def piece_jacobian(r):
+    """The shift-r piece's Jacobian at the square, at the working precision."""
+    return chart_jacobian(lambda *x: shift_map(r, *x), (mpmath.pi / 2,) * 3)
+
+
+def trapezoid_cycle_piece(r, alpha, gamma, delta):
+    """rotate_labels(f^2, 1) near the trapezoid 2-cycle, where the first step has shift r.
+
+    The second step's state lies off every switching surface there and takes
+    shift 3; rotate_labels(q, 1) = (beta, gamma, delta, alpha) has the chart
+    (beta, delta, alpha) of q.
+    """
+    x1, x3, x4 = shift_map(3, *shift_map(r, alpha, gamma, delta))
+    return 2 * mpmath.pi - x1 - x3 - x4, x4, x1
 
 
 # the four pieces' Jacobians at the square, divided by pi/4
@@ -146,3 +163,35 @@ def test_central_differences_at_the_square_average_the_pieces():
     jacobian = stability_report(SQUARE).jacobian
     assert max(abs(jacobian[i][j] - math.pi / 4 * mean[i][j])
                for i in range(3) for j in range(3)) <= 4e-7
+
+
+def test_trapezoid_cycle_has_two_pieces_with_one_spectrum():
+    # the trapezoid state T = (a*, pi - a*, pi - a*, a*) has alpha + beta =
+    # gamma + delta = pi, where the canonical shift switches between 0 and 1,
+    # so rotate_labels(f^2, 1), which fixes T, has two smooth pieces there;
+    # their Jacobians differ, and both have the transverse multiplier, the
+    # in-family multiplier c'(a*) and 0 as eigenvalues
+    a_star = mpmath.findroot(lambda a: c(a) - a, mpmath.mpf("1.48"))
+    trapezoid = (a_star, mpmath.pi - a_star, a_star)
+    tiny = mpmath.mpf(10) ** -30
+    transverse = mpmath.mpf("1.1665628439204896760144925582986")
+    jacobians = []
+    for r in (0, 1):
+        image = trapezoid_cycle_piece(r, *trapezoid)
+        assert max(abs(x - t) for x, t in zip(image, trapezoid)) < mpmath.mpf(10) ** -35
+        jacobian = chart_jacobian(lambda *x: trapezoid_cycle_piece(r, *x), trapezoid)
+        eigenvalues = sorted(mpmath.eig(jacobian)[0], key=lambda z: -mpmath.re(z))
+        for got, exact in zip(eigenvalues, (transverse, mpmath.diff(c, a_star), 0)):
+            assert abs(got - exact) < tiny
+        jacobians.append(jacobian)
+    assert max(abs(x) for x in jacobians[0] - jacobians[1]) > 0.2
+    # the package's central differences straddle the two pieces, as at the
+    # square: they lie near the pieces' mean and 0.117 from either piece
+    mean = (jacobians[0] + jacobians[1]) / 2
+
+    def cycle_map(p):
+        q = rotate_labels(step(step(p.as_angles())), 1)
+        return ChartPoint(q[0], q[2], q[3])
+
+    jacobian = fd_jacobian(cycle_map, ChartPoint(A_STAR, math.pi - A_STAR, A_STAR))
+    assert max(abs(jacobian[i][j] - mean[i, j]) for i in range(3) for j in range(3)) <= 1e-5
