@@ -45,7 +45,8 @@ class ChartPoint(namedtuple("ChartPoint", "alpha gamma delta")):
 
     @staticmethod
     def from_angles(q: AngleTuple) -> "ChartPoint":
-        return ChartPoint(q.alpha, q.gamma, q.delta)
+        alpha, _, gamma, delta = _angles(q)
+        return ChartPoint(alpha, gamma, delta)
 
 
 StabilityReport = namedtuple(
@@ -222,7 +223,7 @@ def stability_report(q: AngleTuple, map_order: int = 1) -> StabilityReport:
     """Jacobian spectrum of the map (or its square) at any angle 4-tuple q, in the chart."""
     if map_order not in (1, 2):
         raise QuadrangleError("map_order must be 1 or 2")
-    p = ChartPoint.from_angles(_angles(q))
+    p = ChartPoint.from_angles(q)
 
     def chart_map(c: ChartPoint) -> ChartPoint:
         image = c.as_angles()

@@ -1,6 +1,9 @@
+import ast
 import inspect
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +30,8 @@ from quadmap.dynamics import step
 from quadmap.sampling import sample_angle_tuple
 from quadmap.solvers import stability_report
 
+from conftest import drawn_kernel_sines, patch_kernel_sines
+
 PI = math.pi
 SQUARE = (PI / 2, PI / 2, PI / 2, PI / 2)
 
@@ -43,6 +48,15 @@ class TestValidation:
     def test_sum_mismatch_rejected(self):
         with pytest.raises(QuadrangleError, match="angle sum 4.0 differs from 2"):
             AngleTuple(1.0, 1.0, 1.0, 1.0)
+
+    def test_sum_1e_8_off_is_rejected(self):
+        # SUM_TOL admits rounding, not a sum 1e-8 off 2*pi, on either side
+        for off in (1e-8, -1e-8):
+            values = (1.0, 2.0, 1.5, TWO_PI - 4.5 + off)
+            with pytest.raises(QuadrangleError, match=r"angle sum \S+ differs from 2\*pi"):
+                AngleTuple(*values)
+            with pytest.raises(QuadrangleError, match=r"edge sum \S+ differs from 2\*pi"):
+                EdgeTuple(*values)
 
     def test_no_silent_renormalization(self):
         # validation must reject rather than rescale
@@ -461,6 +475,7 @@ def _partner(x, target):
 # gives the edge opposite it, 2*pi*s/(s + 1) with the sines added in either
 # order the kernel adds them, exactly pi + _EDGE_SLACK
 _AT_BOUND = 1.0000000000006368
+_OUTSIDE = "outside allowed edge range"
 
 
 class TestBalancedEdgeFloats:
@@ -533,31 +548,34 @@ class TestBalancedEdgeFloats:
         with pytest.raises(QuadrangleError, match="no canonical labeling"):
             core._balanced_edge_floats((3.0, 3.0, 3.0, 3.0))
 
+    # sines that are binary fractions, d's a power of two, make each edge,
+    # and so each number a message names, exact on any libm
     @pytest.mark.parametrize("sines, sum_tol, reason", [
-        # sin(a + d) negated past the clamp: the x3 = 0 endpoint's x1 < 0
-        ({"a+d": -0.5}, core.SUM_TOL, "x1 = -2.5117300887753355 outside allowed edge range"),
+        # the x3 = 0 endpoint's x1 is 2*pi * 1.0 / 1.5, above pi
+        ({"a": 0.25, "d": 0.25, "a+d": 1.0}, core.SUM_TOL, f"x1 = {TWO_PI / 1.5!r} {_OUTSIDE}"),
         # the x3 = 0 endpoint's x1 lands on its excluded bound pi + _EDGE_SLACK
-        ({"a": 0.5, "d": 0.5, "a+d": _AT_BOUND}, core.SUM_TOL,
-         "x1 = 3.141592653590793 outside allowed edge range"),
-        # a negative tolerance fails every sum, the x3 = 0 endpoint's first
-        ({}, -1.0, "edge sum 6.283185307179586 differs from 2"),
+        ({"a": 0.5, "d": 0.5, "a+d": _AT_BOUND}, core.SUM_TOL, f"x1 = {core._HI!r} {_OUTSIDE}"),
+        # with no sum tolerance, the x3 = 0 endpoint misses 2*pi by rounding
+        ({"a": 0.4, "d": 0.25, "a+d": 0.4, "g": 0.5, "g+d": 0.25}, 0.0, "edge sum"),
         # valid endpoints (pi, pi/2, 0, pi/2) and (pi, 0, pi/2, pi/2), both
         # exact, average to an image whose x1 is pi; rotated back, it is x2
         ({"a": 0.25, "d": 0.25, "a+d": 0.5, "g": 0.5, "g+d": 0.25}, core.SUM_TOL,
-         "x2 = 3.141592653589793 outside allowed edge range"),
+         f"x2 = {PI!r} {_OUTSIDE}"),
     ], ids=["endpoint_range", "endpoint_bound", "endpoint_sum", "image_range"])
     def test_endpoint_and_image_checks_match_step(self, monkeypatch, sines, sum_tol, reason):
-        # a corrupted sine table feeds both paths the same endpoints; the
-        # float kernel must reject them where step's validated types do,
-        # with step's message
+        # corrupted sines feed both paths the same endpoints; the float
+        # kernel must reject them where step's validated types do, with
+        # step's message
         _assert_one_rejection(monkeypatch, sines, sum_tol, reason)
 
     @pytest.mark.parametrize("sines, sum_tol, reason", [
-        ({"g": -0.5}, core.SUM_TOL, "x1 = -4.007177299364631 outside allowed edge range"),
+        ({"a": 0.25, "d": 0.25, "a+d": 0.5, "g": -0.25, "g+d": 1.0}, core.SUM_TOL,
+         f"x1 = {-PI / 2!r} {_OUTSIDE}"),
         ({"a": 0.5, "d": 0.5, "a+d": 0.5, "g": _AT_BOUND, "g+d": 0.5}, core.SUM_TOL,
-         "x1 = 3.141592653590793 outside allowed edge range"),
-        # the x3 = 0 endpoint sums to 2*pi exactly, the x2 = 0 one 1 ulp below
-        ({}, 0.0, "edge sum 6.283185307179585 differs from 2"),
+         f"x1 = {core._HI!r} {_OUTSIDE}"),
+        # the x3 = 0 endpoint (pi, pi/2, 0, pi/2) sums to 2*pi exactly, the
+        # x2 = 0 one misses it by rounding
+        ({"a": 0.25, "d": 0.25, "a+d": 0.5, "g": 0.4, "g+d": 0.4}, 0.0, "edge sum"),
     ], ids=["endpoint_range", "endpoint_bound", "endpoint_sum"])
     def test_second_endpoint_checks_match_step(self, monkeypatch, sines, sum_tol, reason):
         # both paths build and check the x3 = 0 endpoint first; corrupting
@@ -566,31 +584,31 @@ class TestBalancedEdgeFloats:
         _assert_one_rejection(monkeypatch, sines, sum_tol, reason)
 
 
-# a state with canonical shift 1, so a, g, d = q[1], q[3], q[0], whose five
-# sine arguments are distinct doubles
+# a state whose five kernel sine arguments are distinct doubles
 _T = AngleTuple(1.0, 2.0, 1.6, TWO_PI - 4.6)
-_SINE_ARGS = {"a": _T.beta, "d": _T.alpha, "a+d": _T.beta + _T.alpha,
-              "g": _T.delta, "g+d": _T.delta + _T.alpha}
 
 
 def _assert_one_rejection(monkeypatch, sines, sum_tol, reason):
-    """step(_T) and the float kernel, with core.sin giving the values sines
-    names (the real sine elsewhere) and core.SUM_TOL set to sum_tol, raise
-    one message, and it matches reason."""
-    assert core._canonical_shift(_T.as_tuple()) == 1
-    table = {_SINE_ARGS[name]: v for name, v in sines.items()}
-    monkeypatch.setattr(core, "sin", lambda x: table.get(x, math.sin(x)))
+    """step(_T) and the float kernel, taking the sines named by role and
+    with core.SUM_TOL set to sum_tol, raise one message: reason, or for
+    reason "edge sum" an edge sum that misses 2*pi."""
+    patch_kernel_sines(monkeypatch, _T, sines)
     monkeypatch.setattr(core, "SUM_TOL", sum_tol)
-    with pytest.raises(QuadrangleError, match=reason) as by_step:
+    with pytest.raises(QuadrangleError) as by_step:
         step(_T)
     with pytest.raises(QuadrangleError) as by_kernel:
         core._balanced_edge_floats(_T.as_tuple())
-    assert str(by_kernel.value) == str(by_step.value)
+    message = str(by_step.value)
+    assert str(by_kernel.value) == message
+    if reason == "edge sum":
+        assert float(re.fullmatch(r"edge sum (\S+) differs from 2\*pi", message)[1]) != TWO_PI
+    else:
+        assert message == reason
 
 
-# what a sine table gives for sin(x): the real sine times a factor (1,
-# scaled, negated, 0, NaN or inf), plus an offset of 0 or one that lands a
-# near-zero sine inside or past the clamp below 0
+# what a drawn sine is: the real sine times a factor (1, scaled, negated,
+# 0, NaN or inf), plus an offset of 0 or one that lands a near-zero sine
+# inside or past the clamp below 0
 _SINE_ENTRIES = st.tuples(
     st.one_of(st.sampled_from([1.0, -1.0, 0.0, math.nan, math.inf, -math.inf]),
               st.floats(-3.0, 3.0)),
@@ -609,20 +627,11 @@ _STATES = [AngleTuple(*rotate_labels(t, k)) for k in range(4) for t in (
 @given(q=st.sampled_from(_STATES), entries=st.lists(_SINE_ENTRIES, min_size=5, max_size=5),
        sum_tol=st.sampled_from([core.SUM_TOL, 0.0]))
 def test_step_and_kernel_give_one_answer(q, entries, sum_tol):
-    # core.sin reads a table: the k-th distinct argument either path asks
-    # for gets the k-th drawn entry, and both paths read the same table, so
-    # they take the same sines (at most five distinct arguments); a zero
-    # SUM_TOL reaches the sum checks, which sines alone cannot, since each
-    # endpoint is normalised by its own sine sum.  step and the float kernel
-    # must return bitwise-equal images or raise the same message
-    table = {}
-
-    def sine(x):
-        if x not in table:
-            factor, offset = entries[len(table)]
-            table[x] = factor * math.sin(x) + offset
-        return table[x]
-
+    # both paths take the same drawn sines, one per distinct argument (the
+    # square's roles share two); a zero SUM_TOL reaches the sum checks,
+    # which sines alone cannot, since each endpoint is normalised by its own
+    # sine sum.  step and the float kernel must return bitwise-equal images
+    # or raise the same message
     def outcome(fn, arg):
         try:
             return [v.hex() for v in fn(arg)]
@@ -630,11 +639,42 @@ def test_step_and_kernel_give_one_answer(q, entries, sum_tol):
             return f"{type(exc).__name__}: {exc}"
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "sin", sine)
+        patch_kernel_sines(mp, q, drawn_kernel_sines(q, entries))
         mp.setattr(core, "SUM_TOL", sum_tol)
         by_step = outcome(lambda s: step(s).as_tuple(), q)
         by_kernel = outcome(core._balanced_edge_floats, q.as_tuple())
     assert by_kernel == by_step
+
+
+def _set_names(node):
+    """The dotted names node sets, by setattr(obj, "name", ...),
+    setattr("module.name", ...) or assignment."""
+    if isinstance(node, ast.Call) and "setattr" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        args = node.args
+        if args and isinstance(args[0], ast.Constant):
+            return [str(args[0].value)]
+        if len(args) > 1 and isinstance(args[1], ast.Constant):
+            return [f"{ast.unparse(args[0])}.{args[1].value}"]
+    return [ast.unparse(t) for t in getattr(node, "targets", ())]
+
+
+def _patches_core_trigonometry(source):
+    return any(re.fullmatch(r"(quadmap\.)?core\.(sin|cos)", name)
+               for node in ast.walk(ast.parse(source)) for name in _set_names(node))
+
+
+def test_only_conftest_patches_core_trigonometry():
+    # tests name the kernel's sines by role through conftest's seam, the one
+    # place that knows how the kernel takes them; a test that patches
+    # core.sin or core.cos itself pins that mechanism again
+    for source in ('mp.setattr(core, "cos", f)', 'setattr("quadmap.core.sin", f)',
+                   "quadmap.core.sin = f"):
+        assert _patches_core_trigonometry(source)
+    assert not _patches_core_trigonometry('mp.setattr(core, "SUM_TOL", 0.0)')
+    patching = {path.name for path in Path(__file__).parent.glob("*.py")
+                if _patches_core_trigonometry(path.read_text())}
+    assert patching == {"conftest.py"}
 
 
 class TestOracle:

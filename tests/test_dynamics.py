@@ -38,6 +38,8 @@ from quadmap.dynamics import (
 )
 from quadmap.sampling import sample_angle_tuple, substream
 
+from conftest import patch_kernel_sines
+
 PI = math.pi
 
 
@@ -451,6 +453,35 @@ def test_cases_reach_every_detector_path(monkeypatch):
     assert lapsed > 0
 
 
+def _hand_made_cycle(p, tied):
+    """p valid states, no two a relabeling of each other, all with the peak
+    2.5 (tied) or each with its own."""
+    if tied:
+        return [(2.5, 0.5 + 0.1 * i, 1.0, TWO_PI - 4.0 - 0.1 * i) for i in range(p)]
+    return [(2.0 + 0.1 * i, 1.0, 1.5, TWO_PI - 4.5 - 0.1 * i) for i in range(p)]
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["own-peaks", "tied-peaks"])
+@pytest.mark.parametrize("p", range(1, 9))
+def test_detector_accepts_every_period_up_to_eight(monkeypatch, p, tied):
+    # the map replaced by one that cycles through p hand-made states.  With
+    # their own peaks, only the state p iterations back passes the peak
+    # prefilter, at p = 8 the window's oldest slot; with one tied peak every
+    # pair passes it and the rotation scan alone decides
+    states = _hand_made_cycle(p, tied)
+    images = dict(zip(states, states[1:] + states[:1]))
+    monkeypatch.setattr(dynamics, "_balanced_edge_floats", images.__getitem__)
+    monkeypatch.setattr(dynamics, "balanced_edges", images.__getitem__)
+    q0 = AngleTuple(*states[0])
+    traj = iterate(q0)
+    assert traj.cycle.period == p
+    assert len(traj.path) - 1 == p + CONFIRMATIONS - 1
+    assert traj.classification == "other_cycle"
+    assert traj == reference_iterate(q0)
+    # cut after one turn, the unconverged residual's window holds the start
+    assert iterate(q0, max_iter=p).residual == 0.0
+
+
 def test_states_are_built_on_first_access(monkeypatch):
     built = Counter()
     original = AngleTuple.__post_init__
@@ -517,32 +548,29 @@ def test_trajectory_states_are_frozen_angle_tuples():
             s.alpha = 1.0
 
 
-@pytest.mark.parametrize("sines, sum_tol, message", [
-    # sin(a + d) = sin(pi) negated past the clamp: the square's first endpoint has x1 < 0
-    ({math.pi: -0.5}, core.SUM_TOL, "x1 = -2.0943951023931953 outside allowed edge range"),
-    # a negative tolerance fails every sum check
-    ({}, -1.0, "edge sum .* differs from 2"),
+@pytest.mark.parametrize("corrupt, message", [
+    # the square's pair-sum sine 3.0, its other sines 1: x1 = 2*pi * 3 / 5
+    (lambda mp: patch_kernel_sines(mp, SQUARE, {"a+d": 3.0}),
+     r"x1 = 3\.7\d* outside allowed edge range"),
+    # a negative tolerance fails every sum check from the kernel's first
+    # call on, after the start is validated
+    (lambda mp: mp.setattr(dynamics, "_balanced_edge_floats", lambda q: mp.setattr(
+        core, "SUM_TOL", -1.0) or core._balanced_edge_floats(q)),
+     r"edge sum \S+ differs from 2\*pi"),
 ], ids=["range", "sum"])
-def test_iterate_still_checks_every_kernel_state(monkeypatch, sines, sum_tol, message):
+def test_iterate_still_checks_every_kernel_state(monkeypatch, corrupt, message):
     # iterate's states skip AngleTuple's checks because the float kernel
     # applies them; a kernel producing a bad edge must still raise.  Two
     # iterations cannot accept a cycle, so no re-step through step runs and
-    # only the loop's kernel can raise.  The start is validated before the
-    # kernel takes its first sine, so the sum check is broken only from there
-    def sine(x):
-        monkeypatch.setattr(core, "SUM_TOL", sum_tol)
-        return sines.get(x, math.sin(x))
-
-    monkeypatch.setattr(core, "sin", sine)
+    # only the loop's kernel can raise
+    corrupt(monkeypatch)
     with pytest.raises(QuadrangleError, match=message):
         iterate(SQUARE, max_iter=2)
 
 
-def test_loop_takes_five_sines_and_validates_nothing(monkeypatch):
-    # a structure guard for iterate's hot path: each iteration takes five
-    # sines, sin(d) once for both endpoint triangles, and constructs no
-    # validated type; only the start and the re-step of the cycle
-    # representatives, a fixed cost, validate
+def test_loop_validates_nothing(monkeypatch):
+    # iterate's hot path constructs no validated type; only the start and
+    # the re-step of the cycle representatives, a fixed cost, validate
     counts = Counter()
 
     def counting(name, fn):
@@ -552,21 +580,20 @@ def test_loop_takes_five_sines_and_validates_nothing(monkeypatch):
         return wrapper
 
     q0 = AngleTuple(1.2, 2.1, 1.5, 1.4831853071795865)
-    monkeypatch.setattr(core, "sin", counting("sin", math.sin))
     monkeypatch.setattr(AngleTuple, "__post_init__", counting("angles", AngleTuple.__post_init__))
     monkeypatch.setattr(EdgeTuple, "__post_init__", counting("edges", EdgeTuple.__post_init__))
-    step(q0)   # one public step: six sines, one angle and three edge tuples
-    assert counts == {"sin": 6, "angles": 1, "edges": 3}
+    step(q0)   # one public step: one angle and three edge tuples
+    assert counts == {"angles": 1, "edges": 3}
     counts.clear()
     assert iterate(q0, max_iter=40).cycle is None   # no cycle, no re-step
-    assert counts == {"sin": 5 * 40, "angles": 1}
+    assert counts == {"angles": 1}
     counts.clear()
     traj = iterate(q0)
     n, p = len(traj.path) - 1, traj.cycle.period
     assert n > 100 and p == 2
-    # five sines per iteration, the start, and p re-steps of the
-    # representatives from the p states built at the boundary
-    assert counts == {"sin": 5 * n + 6 * p, "angles": 1 + 2 * p, "edges": 3 * p}
+    # the start, and p re-steps of the representatives from the p states
+    # built at the boundary
+    assert counts == {"angles": 1 + 2 * p, "edges": 3 * p}
 
 
 def test_sampled_components_are_plain_floats(rng):

@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 import quadmap.core as core
 import quadmap.solvers as solvers
-from quadmap.core import TWO_PI, AngleTuple, QuadrangleError, balanced_edges, canonicalize
+from quadmap.core import (
+    TWO_PI,
+    AngleTuple,
+    QuadrangleError,
+    balanced_edges,
+    canonicalize,
+    rotate_labels,
+)
 from quadmap.dynamics import A_STAR, GENERAL_CYCLE_ANGLES, SQUARE, c_map, step
 from quadmap.sampling import sample_angle_tuple, substream
 from quadmap.solvers import (
@@ -367,6 +374,17 @@ class TestStabilityReport:
     def test_map_order_guard(self):
         with pytest.raises(QuadrangleError, match="map_order must be 1 or 2"):
             stability_report(SQUARE, map_order=3)
+
+    def test_chart_point_takes_any_angle_tuple(self):
+        # a relabeled image is a plain 4-tuple: it reads as its AngleTuple,
+        # and an invalid one raises AngleTuple's message
+        q = rotate_labels(step(step(GENERAL_CYCLE_ANGLES)), 1)
+        assert type(q) is tuple
+        p = ChartPoint.from_angles(q)
+        assert p == ChartPoint.from_angles(AngleTuple(*q)) == (q[0], q[2], q[3])
+        assert stability_report(q).point == p
+        with pytest.raises(QuadrangleError, match="angle sum 4.0 differs from 2"):
+            ChartPoint.from_angles((1.0, 1.0, 1.0, 1.0))
 
     def test_trapezoid_cycle_spectrum(self):
         # the double step returns to a rotate-by-1 relabeling of the
