@@ -190,11 +190,12 @@ def cmd_verify(args) -> tuple[int, str]:
     results = run_all()
     code = EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
     if args.json:
-        payload = [
-            {"name": r.name, "passed": bool(r.passed), "detail": r.detail}
+        return code, _json([
+            {"name": r.name, "passed": r.passed,
+             "gates": [{"label": label, "value": fmt(value), "bound": fmt(bound)}
+                       for label, value, bound in r.gates]}
             for r in results
-        ]
-        return code, _json(payload)
+        ])
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"

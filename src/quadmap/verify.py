@@ -1,8 +1,9 @@
 """End-to-end verification of every published constant and claim.
 
-Each check returns a CheckResult; `run_all` executes the full battery.  Only
-check_trapezoid_fixed_point and check_general_cycle_solution run a solver,
-holding it to the published table in `dynamics`; the rest read that table.
+Each check returns a CheckResult, its verdict as (label, value, bound) gates;
+`run_all` executes the full battery.  Only check_trapezoid_fixed_point and
+check_general_cycle_solution run a solver, holding it to the published table
+in `dynamics`; the rest read that table.
 The CLI `verify` subcommand wraps it and exits nonzero on any failure.
 """
 
@@ -14,7 +15,7 @@ from collections import namedtuple
 
 from .core import IDENTITY, ROTATIONS, TWO_PI, balanced_edges, balanced_edges_oracle
 from .core import _triangle_edges, canonicalize, realize_polygon, reflect_labels_angles
-from .core import relabel_distance, rotate_labels
+from .core import QuadrangleError, relabel_distance, rotate_labels
 from .dynamics import (
     A_STAR,
     C_AT_ZERO,
@@ -32,6 +33,7 @@ from .dynamics import (
 from .sampling import sample_angle_tuple, substream
 from .solvers import (
     ChartPoint,
+    SolverError,
     c_map_slope,
     cycle_system_rhs,
     fd_jacobian,
@@ -41,31 +43,36 @@ from .solvers import (
 )
 
 
-CheckResult = namedtuple("CheckResult", "name passed detail")
+class CheckResult(namedtuple("CheckResult", "name gates")):
+    """A check's name and its gates, each a (label, value, bound) that holds
+    when value <= bound; a strict bound b is written math.nextafter(b, 0.0)."""
+
+    __slots__ = ()
+
+    @property
+    def passed(self) -> bool:
+        return all(value <= bound for _, value, bound in self.gates)
+
+    @property
+    def detail(self) -> str:
+        return "; ".join(f"{label} = {value:.17g} (bound {bound:.17g})"
+                         for label, value, bound in self.gates)
 
 
 def check_square_fixed_point() -> CheckResult:
     d = relabel_distance(step(SQUARE), SQUARE, IDENTITY)
-    return CheckResult("square fixed point", d <= 1e-12, f"sup deviation {d:.3e}")
+    return CheckResult("square fixed point", (("sup deviation", d, 1e-12),))
 
 
 def check_trapezoid_fixed_point() -> CheckResult:
-    fp = solve_trapezoid_fixed_point()
-    err = abs(fp.attracting.solution - A_STAR)
-    return CheckResult(
-        "trapezoid fixed point a*",
-        err <= 2 * math.ulp(A_STAR),
-        f"a* = {fp.attracting.solution!r}, |a* - paper| = {err:.3e}",
-    )
+    err = abs(solve_trapezoid_fixed_point().attracting.solution - A_STAR)
+    return CheckResult("trapezoid fixed point a*",
+                       (("|a* - paper|", err, 2 * math.ulp(A_STAR)),))
 
 
 def check_slope_at_fixed_point() -> CheckResult:
-    slope = c_map_slope(A_STAR)
-    return CheckResult(
-        "submap slope at a*",
-        abs(slope - SLOPE_AT_A_STAR) <= 1e-3,
-        f"c'(a*) = {slope:.6f}",
-    )
+    err = abs(c_map_slope(A_STAR) - SLOPE_AT_A_STAR)
+    return CheckResult("submap slope at a*", (("|c'(a*) - paper|", err, 1e-3),))
 
 
 def check_boundary_values() -> CheckResult:
@@ -77,29 +84,24 @@ def check_boundary_values() -> CheckResult:
     # relabels the one at c(a) <= pi/2, so its least angle is c(a)
     e3 = max(abs(min(step(step(trapezoid_angles(a)))) - c_map(a))
              for a in (0.01, 0.1, 0.5, 1.0, 1.4, 1.5))
-    ok = e1 <= 1e-12 and e2 <= 1e-12 and e3 <= 1e-14
-    return CheckResult(
-        "submap boundary values",
-        ok,
-        f"|c(pi/2)-pi/2| = {e1:.3e}, limit error at 0 = {e2:.3e}, "
-        f"|c(a) - min f^2(trapezoid)| = {e3:.3e}",
-    )
+    return CheckResult("submap boundary values", (
+        ("|c(pi/2) - pi/2|", e1, 1e-12),
+        ("limit error at 0", e2, 1e-12),
+        ("|c(a) - min f^2(trapezoid)|", e3, 1e-14),
+    ))
 
 
 def check_general_cycle_solution() -> CheckResult:
-    result = solve_cycle_system()
-    sol = result.solution
+    sol = solve_cycle_system().solution
     got = (sol.alpha, sol.beta, sol.gamma, sol.delta)
     err = max(abs(a - b) for a, b in zip(got, GENERAL_CYCLE_ANGLES))
     p = ChartPoint.from_angles(GENERAL_CYCLE_ANGLES)
     r = cycle_system_rhs(p)
     residual = max(abs(r.alpha - p.alpha), abs(r.gamma - p.gamma), abs(r.delta - p.delta))
-    ok = err <= 1e-14 and residual < 1e-14
-    return CheckResult(
-        "general 2-cycle angles",
-        ok,
-        f"max |angle - paper| = {err:.3e}, residual at paper values = {residual:.3e}",
-    )
+    return CheckResult("general 2-cycle angles", (
+        ("max |angle - paper|", err, 1e-14),
+        ("residual at paper values", residual, math.nextafter(1e-14, 0.0)),
+    ))
 
 
 def check_cycle_dynamics() -> CheckResult:
@@ -108,42 +110,33 @@ def check_cycle_dynamics() -> CheckResult:
     # a double step returns to a cyclic relabeling of the start; compare
     # in the rotation quotient, where the paper's quadrangles live
     d2 = rotation_distance(step(step(q)), q)
-    ok = d1 <= 1e-14 and d2 <= 1e-14
-    return CheckResult(
-        "cycle mirror dynamics",
-        ok,
-        f"|step(q*) - mirror(q*)| = {d1:.3e}, quotient |step^2(q*) - q*| = {d2:.3e}",
-    )
+    return CheckResult("cycle mirror dynamics", (
+        ("|step(q*) - mirror(q*)|", d1, 1e-14),
+        ("quotient |step^2(q*) - q*|", d2, 1e-14),
+    ))
 
 
 def check_generic_convergence(samples: int = 100) -> CheckResult:
-    hits = 0
-    misses = []
-    for i in range(samples):
-        q0 = sample_angle_tuple(substream(42, i))
-        traj = iterate(q0)
-        if traj.classification == "general_2cycle":
-            hits += 1
-        else:
-            misses.append((i, traj.classification))
-    frac = hits / samples
-    detail = f"{hits}/{samples} general_2cycle"
-    if misses:
-        detail += f"; counterexamples {misses[:5]}"
-    return CheckResult("generic convergence experiment", frac >= 0.99, detail)
+    # the starts of `quadmap basin --samples 100 --seed 42`, whose CSV gives
+    # each orbit's class; at least 99% of them must be general_2cycle
+    misses = sum(iterate(sample_angle_tuple(substream(42, i))).classification
+                 != "general_2cycle" for i in range(samples))
+    return CheckResult("generic convergence experiment",
+                       (("orbits not general_2cycle", misses, samples // 100),))
 
 
 def check_trapezoid_basin() -> CheckResult:
-    worst = 0.0
+    others, worst = 0, 0.0
     for i in range(10):
-        a = 0.1 + 1.4 * (i + 0.5) / 10.0
-        traj = iterate(trapezoid_angles(a))
-        if traj.classification != "trapezoid_2cycle":
-            return CheckResult("trapezoid basin", False,
-                               f"seed a={a:.3f} gave {traj.classification}")
-        worst = max(worst, traj.cycle.match_distance)
-    return CheckResult("trapezoid basin", worst < 1e-10,
-                       f"worst distance to displayed pair {worst:.3e}")
+        traj = iterate(trapezoid_angles(0.1 + 1.4 * (i + 0.5) / 10.0))
+        if traj.classification == "trapezoid_2cycle":
+            worst = max(worst, traj.cycle.match_distance)
+        else:
+            others += 1
+    return CheckResult("trapezoid basin", (
+        ("seeds not trapezoid_2cycle", others, 0),
+        ("worst distance to displayed pair", worst, math.nextafter(1e-10, 0.0)),
+    ))
 
 
 def check_oracle_equivalence() -> CheckResult:
@@ -155,18 +148,14 @@ def check_oracle_equivalence() -> CheckResult:
         mid = balanced_edges_oracle(q).base
         worst_mid = max(worst_mid, relabel_distance(e, mid, IDENTITY))
         worst_gap = max(worst_gap, realize_polygon(q, e).closure_gap)
-    ok = worst_mid <= 1e-10 and worst_gap <= 1e-9
-    return CheckResult(
-        "closure-oracle equivalence",
-        ok,
-        f"worst midpoint gap {worst_mid:.3e}, worst closure gap {worst_gap:.3e}",
-    )
+    return CheckResult("closure-oracle equivalence", (
+        ("worst midpoint gap", worst_mid, 1e-10),
+        ("worst closure gap", worst_gap, 1e-9),
+    ))
 
 
 def check_property_suite() -> CheckResult:
     rng = random.Random(11)
-    details = []
-    ok = True
 
     worst = 0.0
     for _ in range(10000):
@@ -177,10 +166,6 @@ def check_property_suite() -> CheckResult:
     # dividing by 2*pi is monotone, so this is the largest edge fraction,
     # the same double as the largest of the fractions
     worst /= TWO_PI
-    # both triangle-edge fractions are < 1/2 for phi, psi > 0 with phi + psi
-    # < pi: this is what keeps balanced edges inside (0, pi)
-    ok &= worst < 0.5
-    details.append(f"triangle fraction margin to 1/2 {0.5 - worst:.3e}")
 
     worst_half = -math.inf
     over_half_max = 0
@@ -198,29 +183,28 @@ def check_property_suite() -> CheckResult:
         refl = balanced_edges(reflect_labels_angles(q))
         # (1, 0, 3, 2) is the edge relabeling induced by the angle mirror
         worst_refl = max(worst_refl, relabel_distance(refl, e, ((1, 0, 3, 2),)))
-    ok &= worst_half <= math.pi / 2 + 1e-12
-    ok &= over_half_max <= 2
-    ok &= worst_rot <= 1e-10 and worst_refl <= 1e-10 and worst_sum <= 1e-9
-    details.append(f"canonical x2,x3 excess {worst_half - math.pi / 2:.3e}")
-    details.append(f"max components > pi/2: {over_half_max}")
-    details.append(f"equivariance {max(worst_rot, worst_refl):.3e}, sum {worst_sum:.3e}")
-    return CheckResult("balanced-edge property suite", bool(ok), "; ".join(details))
+    return CheckResult("balanced-edge property suite", (
+        # both triangle-edge fractions are < 1/2 for phi, psi > 0 with phi +
+        # psi < pi: this is what keeps balanced edges inside (0, pi)
+        ("largest triangle edge fraction", worst, math.nextafter(0.5, 0.0)),
+        ("largest canonical x2, x3", worst_half, math.pi / 2 + 1e-12),
+        ("most components > pi/2", over_half_max, 2),
+        ("equivariance", max(worst_rot, worst_refl), 1e-10),
+        ("|sum - 2 pi|", worst_sum, 1e-9),
+    ))
 
 
 def check_stability_spectra() -> CheckResult:
     rho_square = stability_report(SQUARE, map_order=1).spectral_radius
     rho_cycle = stability_report(GENERAL_CYCLE_ANGLES, map_order=2).spectral_radius
-    p = ChartPoint.from_angles(GENERAL_CYCLE_ANGLES)
-    jac = fd_jacobian(cycle_system_rhs, p)
+    jac = fd_jacobian(cycle_system_rhs, ChartPoint.from_angles(GENERAL_CYCLE_ANGLES))
     max_entry = float(max(abs(x) for row in jac for x in row))
-    ok = (abs(rho_square - RHO_SQUARE) <= 1e-4 and abs(rho_cycle - RHO_CYCLE) <= 1e-4
-          and max_entry > 1.0)
-    return CheckResult(
-        "stability spectra",
-        ok,
-        f"rho(square, f) = {rho_square:.4f}, rho(cycle, f^2) = {rho_cycle:.4f}, "
-        f"max |relation derivative| = {max_entry:.4f}",
-    )
+    return CheckResult("stability spectra", (
+        ("|rho(square, f) - paper|", abs(rho_square - RHO_SQUARE), 1e-4),
+        ("|rho(cycle, f^2) - paper|", abs(rho_cycle - RHO_CYCLE), 1e-4),
+        # some relation derivative exceeds 1 exactly when this is below 1
+        ("1 / max |relation derivative|", 1.0 / max_entry, math.nextafter(1.0, 0.0)),
+    ))
 
 
 CHECKS = (
@@ -239,4 +223,13 @@ CHECKS = (
 
 
 def run_all():
-    return [check() for check in CHECKS]
+    """Every check's result, in CHECKS order.  A check that raises
+    QuadrangleError or SolverError fails, under its function name, with one
+    gate that names the exception; any other exception propagates."""
+    results = []
+    for check in CHECKS:
+        try:
+            results.append(check())
+        except (QuadrangleError, SolverError) as exc:
+            results.append(CheckResult(check.__name__, ((f"raised {exc!r}", math.inf, 0.0),)))
+    return results

@@ -51,6 +51,9 @@ def test_boundary_check_compares_the_closed_form_with_the_map(monkeypatch):
 
 
 def test_a_star_gate_is_a_few_ulp(monkeypatch):
+    # the solve lands 2 ulp below A_STAR, exactly on the bound
+    (_, err, bound), = verify.check_trapezoid_fixed_point().gates
+    assert err == bound == 2 * math.ulp(verify.A_STAR)
     original = verify.solve_trapezoid_fixed_point
 
     def shifted():
@@ -113,7 +116,7 @@ def test_trapezoid_basin_gate_is_1e_10(monkeypatch):
     monkeypatch.setattr(verify, "iterate", shifted)
     result = verify.check_trapezoid_basin()
     assert not result.passed
-    assert result.detail == "worst distance to displayed pair 1.000e-09"
+    assert [value for _, value, _ in result.gates] == [0, 1e-9]
 
 
 @pytest.mark.parametrize("order", [1, 2], ids=["square", "cycle"])

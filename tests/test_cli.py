@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib
 import io
@@ -20,6 +21,7 @@ import quadmap
 import quadmap.cli
 import quadmap.core as core
 import quadmap.solvers as solvers
+import quadmap.verify as verify
 from quadmap.cli import fmt, main
 from quadmap.core import EdgeTuple, QuadrangleError
 from quadmap.dynamics import (
@@ -27,13 +29,12 @@ from quadmap.dynamics import (
     CYCLE_TOL,
     GENERAL_CYCLE_ANGLES,
     MATCH_TOL,
-    RHO_CYCLE,
-    RHO_SQUARE,
-    SLOPE_AT_A_STAR,
     dihedral_distance,
 )
 from quadmap.solvers import SolverError, solve_cycle_system, solve_trapezoid_fixed_point
 from quadmap.verify import run_all
+
+from conftest import nudge_kernel_sines
 
 PI = math.pi
 SQUARE_ARG = ",".join(repr(PI / 2) for _ in range(4))
@@ -225,19 +226,29 @@ README_ITERATE_CSV_SHA256 = "61e77b0e6c5618c42e46bcd65d06b6b10418db993498ed44db9
 README_SOLVE_CYCLE_SHA256 = "36134aad2a77a71b8d6b79761e382e23b4c3d85557f0e0a43516914cdde50946"
 # verify adds every float sum left to right, so its bytes are the same on
 # every supported Python (sum() rounds differently from 3.12 on)
-VERIFY_JSON_SHA256 = "07e3962cde444862185be71f9d13cca04905102e4f8630549037187701e9856c"
+VERIFY_JSON_SHA256 = "ccc924844551ca3543e3ee57308224bab220b7fe9f84b58eacd56f39cb9607ee"
 
 
-def test_basin_stdout_bytes_are_pinned(capsys):
-    code, out = run(capsys, "basin", "--samples", "20", "--seed", "42")
+@functools.cache
+def basin_seed_42(samples):
+    """The exit code and stdout of `basin --samples <samples> --seed 42`,
+    run once per process: the pins below and the libm test share it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["basin", "--samples", str(samples), "--seed", "42"])
+    return code, out.getvalue()
+
+
+def test_basin_stdout_bytes_are_pinned():
+    code, out = basin_seed_42(20)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BASIN_20_SEED_42_SHA256
 
 
-def test_larger_basin_stdout_bytes_are_pinned(capsys):
+def test_larger_basin_stdout_bytes_are_pinned():
     # the 20-sample basin meets few detector paths; this run meets far more
     # and still takes about a second
-    code, out = run(capsys, "basin", "--samples", "1000", "--seed", "42")
+    code, out = basin_seed_42(1000)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BASIN_1000_SEED_42_SHA256
 
@@ -251,11 +262,11 @@ BASIN_CLASS_ITERS_SHA256 = {
 
 
 @pytest.mark.parametrize("samples", sorted(BASIN_CLASS_ITERS_SHA256))
-def test_basin_rows_hold_what_the_pins_mean(capsys, samples):
+def test_basin_rows_hold_what_the_pins_mean(samples):
     # beside each byte pin, what its bytes say: every row's class and
     # iteration count exactly, each converged row within CYCLE_TOL and the
     # matching tolerance, and a summary that counts the rows
-    code, out = run(capsys, "basin", "--samples", str(samples), "--seed", "42")
+    code, out = basin_seed_42(samples)
     assert code == 0
     *table, summary = out.splitlines()
     rows = [line.split(",") for line in table]
@@ -269,6 +280,27 @@ def test_basin_rows_hold_what_the_pins_mean(capsys, samples):
     assert summary == "# summary: " + " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     if samples == 1000:
         assert summary == "# summary: general_2cycle=1000"
+
+
+# how far a row's iteration count may move when the kernel's sines move by an
+# ulp: under nudge_kernel_sines 2 of the 1,000 rows move, by 1; a probe with
+# a blake2b-picked quarter moved 6 rows, by at most 2
+LIBM_ITERS_SHIFT = 2
+
+
+def test_semantic_gates_hold_on_another_faithful_libm(monkeypatch, capsys):
+    # the byte pins hold only on the libm they were recorded with; what they
+    # mean must hold on any faithful one: every basin class, iteration counts
+    # within LIBM_ITERS_SHIFT, and every verify gate
+    _, out = basin_seed_42(1000)
+    nudge_kernel_sines(monkeypatch)
+    code, nudged = run(capsys, "basin", "--samples", "1000", "--seed", "42")
+    assert code == 0 and nudged != out   # the nudge reaches the kernel
+    ref, got = ([line.split(",") for line in text.splitlines()[1:-1]] for text in (out, nudged))
+    assert [r[5] for r in got] == [r[5] for r in ref]
+    assert max(abs(int(r[6]) - int(g[6])) for r, g in zip(ref, got)) <= LIBM_ITERS_SHIFT
+    failed = [(r.name, r.detail) for r in run_all() if not r.passed]
+    assert failed == []
 
 
 def test_readme_iterate_csv_bytes_are_pinned(capsys, tmp_path):
@@ -332,56 +364,47 @@ def test_readme_solve_cycle_holds_what_the_pin_means(capsys):
     assert payload["provenance"] == "initial guess from 51 map iterations of a generic seed"
 
 
-# each verify --json detail, parsed, with every number in it held to the gate
-# verify.py states for it; names are in CHECKS order.  A drifted number or a
-# loosened gate in verify.py fails here, whatever the check's own verdict
-_NUM = r"(-?\d+\.\d+(?:e[+-]\d+)?)"
-VERIFY_DETAIL_GATES = {
-    "square fixed point": (rf"sup deviation {_NUM}", lambda d: d <= 1e-12),
-    "trapezoid fixed point a*": (
-        rf"a\* = {_NUM}, \|a\* - paper\| = {_NUM}",
-        lambda a, err: abs(a - A_STAR) <= 2 * math.ulp(A_STAR)
-        and err == float(f"{abs(a - A_STAR):.3e}")),
-    "submap slope at a*": (rf"c'\(a\*\) = {_NUM}", lambda s: abs(s - SLOPE_AT_A_STAR) <= 1e-3),
-    "submap boundary values": (
-        rf"\|c\(pi/2\)-pi/2\| = {_NUM}, limit error at 0 = {_NUM}, "
-        rf"\|c\(a\) - min f\^2\(trapezoid\)\| = {_NUM}",
-        lambda e1, e2, e3: e1 <= 1e-12 and e2 <= 1e-12 and e3 <= 1e-14),
-    "general 2-cycle angles": (
-        rf"max \|angle - paper\| = {_NUM}, residual at paper values = {_NUM}",
-        lambda err, residual: err <= 1e-14 and residual < 1e-14),
-    "cycle mirror dynamics": (
-        rf"\|step\(q\*\) - mirror\(q\*\)\| = {_NUM}, quotient \|step\^2\(q\*\) - q\*\| = {_NUM}",
-        lambda d1, d2: d1 <= 1e-14 and d2 <= 1e-14),
-    "generic convergence experiment": (
-        r"(\d+)/(\d+) general_2cycle(?:; counterexamples .*)?",
-        lambda hits, samples: samples == 100 and hits / samples >= 0.99),
-    "trapezoid basin": (rf"worst distance to displayed pair {_NUM}", lambda d: d < 1e-10),
-    "closure-oracle equivalence": (
-        rf"worst midpoint gap {_NUM}, worst closure gap {_NUM}",
-        lambda mid, gap: mid <= 1e-10 and gap <= 1e-9),
-    "balanced-edge property suite": (
-        rf"triangle fraction margin to 1/2 {_NUM}; canonical x2,x3 excess {_NUM}; "
-        rf"max components > pi/2: (\d+); equivariance {_NUM}, sum {_NUM}",
-        lambda margin, excess, over, equi, total: margin > 0 and excess <= 1e-12
-        and over <= 2 and equi <= 1e-10 and total <= 1e-9),
-    "stability spectra": (
-        rf"rho\(square, f\) = {_NUM}, rho\(cycle, f\^2\) = {_NUM}, "
-        rf"max \|relation derivative\| = {_NUM}",
-        lambda rho_square, rho_cycle, entry: abs(rho_square - RHO_SQUARE) <= 1e-4
-        and abs(rho_cycle - RHO_CYCLE) <= 1e-4 and entry > 1.0),
-}
+# every verify gate as (check, label, bound), in CHECKS order.  A gate holds
+# when value <= bound, so a strict bound b is written nextafter(b, 0); a
+# renamed, dropped or loosened gate in verify.py fails here, whatever the
+# check's own verdict
+VERIFY_GATES = [
+    ("square fixed point", "sup deviation", 1e-12),
+    ("trapezoid fixed point a*", "|a* - paper|", 2 * math.ulp(A_STAR)),
+    ("submap slope at a*", "|c'(a*) - paper|", 1e-3),
+    ("submap boundary values", "|c(pi/2) - pi/2|", 1e-12),
+    ("submap boundary values", "limit error at 0", 1e-12),
+    ("submap boundary values", "|c(a) - min f^2(trapezoid)|", 1e-14),
+    ("general 2-cycle angles", "max |angle - paper|", 1e-14),
+    ("general 2-cycle angles", "residual at paper values", math.nextafter(1e-14, 0.0)),
+    ("cycle mirror dynamics", "|step(q*) - mirror(q*)|", 1e-14),
+    ("cycle mirror dynamics", "quotient |step^2(q*) - q*|", 1e-14),
+    ("generic convergence experiment", "orbits not general_2cycle", 1),
+    ("trapezoid basin", "seeds not trapezoid_2cycle", 0),
+    ("trapezoid basin", "worst distance to displayed pair", math.nextafter(1e-10, 0.0)),
+    ("closure-oracle equivalence", "worst midpoint gap", 1e-10),
+    ("closure-oracle equivalence", "worst closure gap", 1e-9),
+    ("balanced-edge property suite", "largest triangle edge fraction", math.nextafter(0.5, 0.0)),
+    ("balanced-edge property suite", "largest canonical x2, x3", PI / 2 + 1e-12),
+    ("balanced-edge property suite", "most components > pi/2", 2),
+    ("balanced-edge property suite", "equivariance", 1e-10),
+    ("balanced-edge property suite", "|sum - 2 pi|", 1e-9),
+    ("stability spectra", "|rho(square, f) - paper|", 1e-4),
+    ("stability spectra", "|rho(cycle, f^2) - paper|", 1e-4),
+    ("stability spectra", "1 / max |relation derivative|", math.nextafter(1.0, 0.0)),
+]
 
 
 def test_verify_json_holds_what_the_pin_means(capsys):
     code, out = run(capsys, "verify", "--json")
     results = json.loads(out)
-    assert [r["name"] for r in results] == list(VERIFY_DETAIL_GATES)
+    gates = [(r["name"], g["label"], g["bound"]) for r in results for g in r["gates"]]
+    assert gates == [(name, label, fmt(bound)) for name, label, bound in VERIFY_GATES]
     for r in results:
-        pattern, gate = VERIFY_DETAIL_GATES[r["name"]]
-        match = re.fullmatch(pattern, r["detail"])
-        assert r["passed"] is True and match, r
-        assert gate(*map(float, match.groups())), r
+        assert r["passed"] is True, r
+        for g in r["gates"]:
+            assert fmt(float(g["value"])) == g["value"], g
+            assert float(g["value"]) <= float(g["bound"]), (r["name"], g)
     assert code == 0
 
 
@@ -621,12 +644,27 @@ class TestVerify:
             return EdgeTuple(e.x1, e.x4, e.x3, e.x2, degenerate=True)
 
         monkeypatch.setattr(core, "degenerate_edges_first", broken)
-        try:
-            detected = not all(r.passed for r in run_all())
-        except Exception:
-            # a solver blowing up on corrupted dynamics also counts
-            detected = True
-        assert detected
+        assert not all(r.passed for r in run_all())
+
+    def test_a_check_that_raises_fails(self, monkeypatch, capsys):
+        # an input or solver error inside a check is a failed check, exit 1,
+        # and the other checks still run; the table names the error
+        def bad_map(a):
+            raise QuadrangleError("map broke")
+
+        def bad_solve():
+            raise SolverError("solve broke")
+
+        monkeypatch.setattr(verify, "c_map", bad_map)
+        monkeypatch.setattr(verify, "solve_cycle_system", bad_solve)
+        code, out = run(capsys, "verify")
+        *table, summary = out.splitlines()
+        assert code == 1 and len(table) == 11 and summary == "9/11 checks passed"
+        failed = [line for line in table if line.startswith("FAIL")]
+        assert failed == [
+            "FAIL  check_boundary_values: raised QuadrangleError('map broke') = inf (bound 0)",
+            "FAIL  check_general_cycle_solution: raised SolverError('solve broke') = inf (bound 0)",
+        ]
 
 
 def test_fmt_round_trips(rng):

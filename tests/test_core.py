@@ -685,6 +685,18 @@ class TestOracle:
         assert relabel_distance(seg.base, EdgeTuple(*SQUARE), IDENTITY) < 1e-10
         assert seg.t_max - seg.t_min > 0
 
+    def test_rank_bound_lies_between_two_thin_parallelograms(self):
+        # the parallelogram (t, pi - t, t, pi - t) has cofactor norm 4.0e-8 at
+        # t = 1e-8, where the oracle still returns the square's edges (step
+        # rejects that state, ROADMAP item 4), and is rank-deficient at 1e-13
+        def thin(t):
+            return (t, PI - t, t, PI - t)
+
+        seg = balanced_edges_oracle(thin(1e-8))
+        assert relabel_distance(seg.base, EdgeTuple(*SQUARE), IDENTITY) < 1e-15
+        with pytest.raises(QuadrangleError, match="closure system is rank-deficient"):
+            balanced_edges_oracle(thin(1e-13))
+
     def test_midpoint_matches_formula(self, random_angles):
         for q in random_angles:
             mid = balanced_edges_oracle(q).base

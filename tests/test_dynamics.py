@@ -192,6 +192,18 @@ class TestIterate:
         expected = name if len(known) == 1 else "other_cycle"
         assert _classify((known * 3)[:3])[0] == expected
 
+    @pytest.mark.parametrize("eps, expected", [
+        (1e-7, "general_2cycle"), (1e-5, "other_cycle"), (1e-4, "other_cycle"),
+    ])
+    def test_match_tolerance_lies_between_1e_7_and_1e_5(self, eps, expected):
+        # the generic cycle with eps added to alpha and taken from gamma,
+        # paired with its mirror, lies eps from the known cycle
+        a, b, g, d = GENERAL_CYCLE_ANGLES
+        q = AngleTuple(a + eps, b, g - eps, d)
+        name, distance = _classify((q, reflect_labels_angles(q)))
+        assert name == expected
+        assert distance == (pytest.approx(eps) if expected == "general_2cycle" else math.inf)
+
     def test_generic_seed(self):
         q0 = AngleTuple(1.2, 2.1, 1.5, 2 * PI - 4.8)
         traj = iterate(q0)
