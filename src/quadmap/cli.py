@@ -268,8 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse has printed its usage error or --help
+        return exc.code
     try:
         code, text = args.func(args)
         _emit(text, args.out)

@@ -64,15 +64,19 @@ def patch_kernel_sines(monkeypatch, q, sines):
     monkeypatch.setattr(core, "sin", lambda x: table.get(x, math.sin(x)))
 
 
-def nudge_kernel_sines(monkeypatch):
-    """Stand in for another faithful libm: core's sine moves one ulp on a
-    fixed quarter of its arguments, half of them up and half down.  Bits of
-    a multiplicative hash of x's numeric hash, which PYTHONHASHSEED does not
-    move, pick them; a blake2b byte picks as well but doubles the patched
-    basin run's time."""
+def nudge_kernel_sines(monkeypatch, relative=None):
+    """Stand in for another faithful libm: core's sine moves one ulp, or by
+    the factor 1 +- relative when given, on a fixed quarter of its arguments,
+    half of them up and half down.  Bits of a multiplicative hash of x's
+    numeric hash, which PYTHONHASHSEED does not move, pick them; a blake2b
+    byte picks as well but doubles the patched basin run's time."""
     def sin(x):
         s = math.sin(x)
         pick = hash(x) * 0x9E3779B97F4A7C15 >> 61 & 7
-        return s if pick > 1 else math.nextafter(s, math.inf if pick else -math.inf)
+        if pick > 1:
+            return s
+        if relative is None:
+            return math.nextafter(s, math.inf if pick else -math.inf)
+        return s * (1.0 + relative if pick else 1.0 - relative)
 
     monkeypatch.setattr(core, "sin", sin)

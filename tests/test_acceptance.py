@@ -78,13 +78,13 @@ def test_cycle_angle_gate_is_1e_14(monkeypatch):
 
 
 def test_cycle_residual_gate_is_1e_14(monkeypatch):
-    original = verify.cycle_system_rhs
+    original = verify._cycle_residual
 
     def shifted(p):
-        r = original(p)
-        return r._replace(gamma=r.gamma + 1e-12)
+        da, dg, dd = original(p)
+        return da, dg + 1e-12, dd
 
-    monkeypatch.setattr(verify, "cycle_system_rhs", shifted)
+    monkeypatch.setattr(verify, "_cycle_residual", shifted)
     assert not verify.check_general_cycle_solution().passed
 
 

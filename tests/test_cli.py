@@ -23,7 +23,7 @@ import quadmap.core as core
 import quadmap.solvers as solvers
 import quadmap.verify as verify
 from quadmap.cli import fmt, main
-from quadmap.core import EdgeTuple, QuadrangleError
+from quadmap.core import QuadrangleError
 from quadmap.dynamics import (
     A_STAR,
     CYCLE_TOL,
@@ -155,9 +155,7 @@ def test_thin_trapezoid_is_rejected_with_one_message(capsys):
 def test_tol_is_unrecognized_exit_2(capsys, argv):
     # the cycle detector stops at dynamics.CYCLE_TOL, so no subcommand takes
     # a tolerance, not even the constant's own value
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--tol", "1e-12"])
-    assert exc.value.code == 2
+    assert main([*argv, "--tol", "1e-12"]) == 2
     assert "unrecognized arguments: --tol 1e-12" in capsys.readouterr().err
 
 
@@ -555,9 +553,7 @@ class TestSolve:
         # the bracket is fixed: c(a) = a has one root in (0, pi/2), so no
         # bracket flag is accepted, whatever its value; nor is a tolerance:
         # both solves stop at solvers.NEWTON_TOL
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "trapezoid", flag, value])
-        assert exc.value.code == 2
+        assert main(["solve", "trapezoid", flag, value]) == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and flag in err
 
@@ -583,19 +579,13 @@ class TestSolve:
         assert code == 3
         assert err.startswith("solver error:")
 
-    @pytest.mark.parametrize("initial", ["a,b,c", "3,3,3"])
-    def test_cycle_invalid_initial_exit_2(self, capsys, initial):
-        # a non-number, and a start whose implied beta is negative
-        code, err = run_bounded(capsys, 30, "solve", "cycle", "--initial", initial)
-        assert code == 2
-        assert err.startswith("error:")
-
     @pytest.mark.parametrize("initial, message", [
         ("a,b,c", "bad number in 'a,b,c'"),
         ("3,3,3", "beta = -2.7168146928204138 must lie strictly inside (0, pi)"),
     ])
     def test_cycle_invalid_initial_message(self, capsys, initial, message):
-        # the solver validates its start itself; the CLI's words stay the same
+        # a non-number, and a start whose implied beta is negative: the
+        # solver validates its start itself; the CLI's words stay the same
         code, err = run_bounded(capsys, 30, "solve", "cycle", "--initial", initial)
         assert (code, err) == (2, f"error: {message}\n")
 
@@ -621,30 +611,16 @@ class TestStability:
 
 
 class TestVerify:
-    def test_exit_zero_and_table(self, capsys):
-        code, out = run(capsys, "verify")
-        assert code == 0
-        assert "FAIL" not in out
-        assert out.count("PASS") == 11
-
-    def test_json_results(self, capsys):
-        code, out = run(capsys, "verify", "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert len(payload) == 11
-        assert all(r["passed"] for r in payload)
-
     def test_mutation_is_detected(self, monkeypatch):
-        # swap two components of the first degenerate constructor; the
-        # verification battery must notice
-        original = core.degenerate_edges_first
-
-        def broken(alpha, delta):
-            e = original(alpha, delta)
-            return EdgeTuple(e.x1, e.x4, e.x3, e.x2, degenerate=True)
-
-        monkeypatch.setattr(core, "degenerate_edges_first", broken)
-        assert not all(r.passed for r in run_all())
+        # a 1e-9 relative error on a quarter of the kernel's sines, which
+        # step and iterate's float kernel both read: some check must fail by
+        # a measured value past its bound, not by raising.  Under it the
+        # generic-convergence check's orbits run to max_iter (3 s), so the
+        # other ten checks decide
+        nudge_kernel_sines(monkeypatch, 1e-9)
+        monkeypatch.setattr(verify, "CHECKS", tuple(
+            c for c in verify.CHECKS if c is not verify.check_generic_convergence))
+        assert any(bound < value < math.inf for r in run_all() for _, value, bound in r.gates)
 
     def test_a_check_that_raises_fails(self, monkeypatch, capsys):
         # an input or solver error inside a check is a failed check, exit 1,
@@ -904,8 +880,5 @@ def test_cli_fuzz_exits_with_a_defined_code(argv):
     # a traceback escapes as an exception and fails the example
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:   # argparse rejects the command line
-            code = exc.code
+        code = main(argv)
     assert code in (0, 2, 3), argv

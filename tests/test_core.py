@@ -659,22 +659,27 @@ def _set_names(node):
     return [ast.unparse(t) for t in getattr(node, "targets", ())]
 
 
-def _patches_core_trigonometry(source):
-    return any(re.fullmatch(r"(quadmap\.)?core\.(sin|cos)", name)
-               for node in ast.walk(ast.parse(source)) for name in _set_names(node))
+def _core_names_set(source):
+    return {m[2] for node in ast.walk(ast.parse(source)) for name in _set_names(node)
+            if (m := re.fullmatch(r"(quadmap\.)?core\.(\w+)", name))}
+
+
+_MAP_SEAMS = {"sin", "cos", "degenerate_edges_first", "degenerate_edges_second"}
 
 
 def test_only_conftest_patches_core_trigonometry():
     # tests name the kernel's sines by role through conftest's seam, the one
     # place that knows how the kernel takes them; a test that patches
-    # core.sin or core.cos itself pins that mechanism again
+    # core.sin or core.cos itself pins that mechanism again.  Likewise one
+    # test pins that the cycle report reads the endpoint constructors behind
+    # step, and every other test reads the map through its outcomes
     for source in ('mp.setattr(core, "cos", f)', 'setattr("quadmap.core.sin", f)',
-                   "quadmap.core.sin = f"):
-        assert _patches_core_trigonometry(source)
-    assert not _patches_core_trigonometry('mp.setattr(core, "SUM_TOL", 0.0)')
-    patching = {path.name for path in Path(__file__).parent.glob("*.py")
-                if _patches_core_trigonometry(path.read_text())}
-    assert patching == {"conftest.py"}
+                   "quadmap.core.sin = f", 'mp.setattr(core, "degenerate_edges_second", f)'):
+        assert _core_names_set(source) & _MAP_SEAMS
+    assert _core_names_set('mp.setattr(core, "SUM_TOL", 0.0)') == {"SUM_TOL"}
+    patching = {(path.name, name) for path in Path(__file__).parent.glob("*.py")
+                for name in _core_names_set(path.read_text()) & _MAP_SEAMS}
+    assert patching == {("conftest.py", "sin"), ("test_dynamics.py", "degenerate_edges_first")}
 
 
 class TestOracle:
@@ -696,6 +701,16 @@ class TestOracle:
         assert relabel_distance(seg.base, EdgeTuple(*SQUARE), IDENTITY) < 1e-15
         with pytest.raises(QuadrangleError, match="closure system is rank-deficient"):
             balanced_edges_oracle(thin(1e-13))
+
+    def test_empty_segment_is_a_domain_error(self):
+        # a valid state whose angle sum is 2*pi + 7.8e-10, inside SUM_TOL;
+        # the oracle ignores delta, and the delta that alpha, beta and gamma
+        # imply, 2*pi - alpha - beta - gamma, is -7.8e-10.  step takes it
+        q = AngleTuple(2.3768932878348226, 2.355966919972474, 1.5503251001539158,
+                       1.00115794730945e-14)
+        with pytest.raises(QuadrangleError, match="feasible segment is empty or unbounded"):
+            balanced_edges_oracle(q)
+        assert type(balanced_edges(q)) is EdgeTuple
 
     def test_midpoint_matches_formula(self, random_angles):
         for q in random_angles:

@@ -507,9 +507,9 @@ def test_states_are_built_on_first_access(monkeypatch):
     traj = iterate(q0)
     n, p = len(traj.path) - 1, traj.cycle.period
     assert n > 100 and p == 2
-    # the start, the p states re-stepped, and the image of each public step
-    # of them
-    assert built["states"] == 1 + 2 * p
+    # iterate leaves the orbit's states unbuilt; reading them builds all
+    # n + 1, once
+    assert built["states"] < n + 1
     built.clear()
     states = traj.states
     assert built["states"] == n + 1
@@ -581,8 +581,9 @@ def test_iterate_still_checks_every_kernel_state(monkeypatch, corrupt, message):
 
 
 def test_loop_validates_nothing(monkeypatch):
-    # iterate's hot path constructs no validated type; only the start and
-    # the re-step of the cycle representatives, a fixed cost, validate
+    # iterate's hot path constructs no validated type, so what it validates
+    # does not grow with the orbit: the start, and a cycle report whose cost
+    # the period sets
     counts = Counter()
 
     def counting(name, fn):
@@ -591,21 +592,20 @@ def test_loop_validates_nothing(monkeypatch):
             return fn(*args)
         return wrapper
 
+    def validated(q0, max_iter=10000):
+        counts.clear()
+        traj = iterate(q0, max_iter=max_iter)
+        return len(traj.path) - 1, traj.cycle and traj.cycle.period, Counter(counts)
+
     q0 = AngleTuple(1.2, 2.1, 1.5, 1.4831853071795865)
     monkeypatch.setattr(AngleTuple, "__post_init__", counting("angles", AngleTuple.__post_init__))
     monkeypatch.setattr(EdgeTuple, "__post_init__", counting("edges", EdgeTuple.__post_init__))
-    step(q0)   # one public step: one angle and three edge tuples
-    assert counts == {"angles": 1, "edges": 3}
-    counts.clear()
-    assert iterate(q0, max_iter=40).cycle is None   # no cycle, no re-step
-    assert counts == {"angles": 1}
-    counts.clear()
-    traj = iterate(q0)
-    n, p = len(traj.path) - 1, traj.cycle.period
-    assert n > 100 and p == 2
-    # the start, and p re-steps of the representatives from the p states
-    # built at the boundary
-    assert counts == {"angles": 1 + 2 * p, "edges": 3 * p}
+    # two cuts of one unconverged orbit
+    (n1, p1, cut1), (n2, p2, cut2) = validated(q0, 40), validated(q0, 80)
+    assert (n1, p1, n2, p2) == (40, None, 80, None) and cut1 == cut2
+    # two orbits of 332 and 360 steps that settle on one period
+    (n1, p1, one), (n2, p2, other) = validated(q0), validated(sample_angle_tuple(substream(2024, 1)))
+    assert n1 != n2 and p1 == p2 == 2 and one == other
 
 
 def test_sampled_components_are_plain_floats(rng):
