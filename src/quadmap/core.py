@@ -63,12 +63,10 @@ class AngleTuple(_Validated, namedtuple("AngleTuple", "alpha beta gamma delta"))
 
 def _edge_error(x1, x2, x3, x4, degenerate):
     """EdgeTuple's message for the edges x1..x4, or None; the float kernel raises it too."""
-    if not (0.0 <= x1 < _HI and 0.0 <= x2 < _HI and 0.0 <= x3 < _HI and 0.0 <= x4 < _HI
-            if degenerate else 0.0 < x1 < pi and 0.0 < x2 < pi and 0.0 < x3 < pi and 0.0 < x4 < pi
-            ) or abs(x1 + x2 + x3 + x4 - TWO_PI) > SUM_TOL:
-        for i, v in enumerate((x1, x2, x3, x4), start=1):
-            if not (0.0 <= v < _HI if degenerate else 0.0 < v < pi):
-                return f"x{i} = {v} outside allowed edge range"
+    for i, v in enumerate((x1, x2, x3, x4), start=1):
+        if not (0.0 <= v < _HI if degenerate else 0.0 < v < pi):
+            return f"x{i} = {v} outside allowed edge range"
+    if abs(x1 + x2 + x3 + x4 - TWO_PI) > SUM_TOL:
         return f"edge sum {x1 + x2 + x3 + x4} differs from 2*pi"
 
 
@@ -88,8 +86,12 @@ class EdgeTuple(_Validated, namedtuple("EdgeTuple", "x1 x2 x3 x4")):
         return self
 
     def __post_init__(self, degenerate=False):
-        if reason := _edge_error(*self, degenerate):
-            raise QuadrangleError(reason)
+        x1, x2, x3, x4 = self
+        if not ((0.0 <= x1 < _HI and 0.0 <= x2 < _HI and 0.0 <= x3 < _HI and 0.0 <= x4 < _HI
+                 if degenerate else
+                 0.0 < x1 < pi and 0.0 < x2 < pi and 0.0 < x3 < pi and 0.0 < x4 < pi)
+                and not abs(x1 + x2 + x3 + x4 - TWO_PI) > SUM_TOL):
+            raise QuadrangleError(_edge_error(x1, x2, x3, x4, degenerate))
 
 
 class FeasibleSegment(namedtuple("FeasibleSegment", "base direction t_min t_max")):
@@ -229,7 +231,8 @@ def balanced_edges(q: AngleTuple) -> EdgeTuple:
     f1, f2, f3, f4 = degenerate_edges_first(a, d)
     s1, s2, s3, s4 = degenerate_edges_second(g, d)
     mid = ((f1 + s1) / 2.0, (f2 + s2) / 2.0, (f3 + s3) / 2.0, (f4 + s4) / 2.0)
-    return EdgeTuple(*rotate_labels(mid, -r))
+    i, j, k, m = ROTATIONS[-r]   # rotate_labels(mid, -r)
+    return EdgeTuple(mid[i], mid[j], mid[k], mid[m])
 
 
 def _balanced_edge_floats(q):
@@ -330,7 +333,7 @@ def balanced_edges_oracle(q: AngleTuple):
         raise QuadrangleError("feasible segment is empty or unbounded")
 
     t_mid = (t_lo + t_hi) / 2.0
-    base = EdgeTuple(*(b + t_mid * d for b, d in zip(particular, null)))
+    base = EdgeTuple(*[b + t_mid * d for b, d in zip(particular, null)])
     return FeasibleSegment(base, tuple(null), t_lo - t_mid, t_hi - t_mid)
 
 

@@ -156,16 +156,20 @@ def check_oracle_equivalence() -> CheckResult:
 def check_property_suite() -> CheckResult:
     rng = random.Random(11)
 
+    # rng.uniform(a, b) is a + (b - a) * rng.random(), written out
+    draw = rng.random
+    span = (math.pi - 2e-6) - 1e-6
     worst = 0.0
     for _ in range(10000):
-        phi = rng.uniform(1e-6, math.pi - 2e-6)
-        psi = rng.uniform(1e-6, math.pi - phi - 1e-6)
+        phi = 1e-6 + span * draw()
+        psi = 1e-6 + ((math.pi - phi - 1e-6) - 1e-6) * draw()
         e_phi, _, e_sum = _triangle_edges(phi, psi)
         worst = max(worst, e_phi, e_sum)
     # dividing by 2*pi is monotone, so this is the largest edge fraction,
     # the same double as the largest of the fractions
     worst /= TWO_PI
 
+    half = math.pi / 2
     worst_half = -math.inf
     over_half_max = 0
     worst_rot = worst_refl = worst_sum = 0.0
@@ -174,8 +178,9 @@ def check_property_suite() -> CheckResult:
         e = balanced_edges(q)
         e_can = balanced_edges(canonicalize(q))
         worst_half = max(worst_half, e_can.x2, e_can.x3)
-        over_half_max = max(over_half_max, sum(1 for x in e if x > math.pi / 2))
-        worst_sum = max(worst_sum, abs(e.x1 + e.x2 + e.x3 + e.x4 - TWO_PI))
+        x1, x2, x3, x4 = e
+        over_half_max = max(over_half_max, (x1 > half) + (x2 > half) + (x3 > half) + (x4 > half))
+        worst_sum = max(worst_sum, abs(x1 + x2 + x3 + x4 - TWO_PI))
         k = int(4 * rng.random())
         rot = balanced_edges(rotate_labels(q, k))
         worst_rot = max(worst_rot, relabel_distance(rot, e, (ROTATIONS[k],)))

@@ -4,12 +4,14 @@ the per-criterion pass/fail lines.
 """
 
 import math
+import random
 import time
 
 import pytest
 
 import quadmap.verify as verify
 from quadmap.cli import main
+from quadmap.core import TWO_PI, _triangle_edges
 from quadmap.verify import CHECKS
 
 
@@ -132,6 +134,33 @@ def test_spectral_radius_gates_are_1e_4(monkeypatch, order):
 
     monkeypatch.setattr(verify, "stability_report", shifted)
     assert not verify.check_stability_spectra().passed
+
+
+def test_property_suite_draws_as_random_uniform(monkeypatch):
+    # the check writes rng.uniform out; this reference draws through it and
+    # must reach the same gate double and leave the stream where the check does
+    rng = random.Random(11)
+    worst = 0.0
+    for _ in range(10000):
+        phi = rng.uniform(1e-6, math.pi - 2e-6)
+        psi = rng.uniform(1e-6, math.pi - phi - 1e-6)
+        e_phi, _, e_sum = _triangle_edges(phi, psi)
+        worst = max(worst, e_phi, e_sum)
+    worst /= TWO_PI
+    states = []
+    sample = verify.sample_angle_tuple
+
+    def recording(stream, *args):
+        if not states:   # the first sample follows the triangle draws
+            states.append(stream.getstate())
+        return sample(stream, *args)
+
+    monkeypatch.setattr(verify, "sample_angle_tuple", recording)
+    gates = {label: value for label, value, _ in verify.check_property_suite().gates}
+    assert gates["largest triangle edge fraction"].hex() == worst.hex()
+    after = random.Random()
+    after.setstate(states[0])
+    assert after.random().hex() == rng.random().hex()
 
 
 class SolverCalled(Exception):

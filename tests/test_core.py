@@ -147,6 +147,19 @@ class TestValidation:
         with pytest.raises(TypeError):
             build()
 
+    @pytest.mark.parametrize("cls, values, reason", [
+        (AngleTuple, (4.0, 4.0, 4.0, 4.0), "alpha = 4.0 must lie strictly inside (0, pi)"),
+        (EdgeTuple, (-1.0, 0.0, 0.0, 0.0), "x1 = -1.0 outside allowed edge range"),
+    ], ids=["angles", "edges"])
+    def test_each_rule_lives_in_post_init(self, monkeypatch, cls, values, reason):
+        # the layer tracer counts validations by wrapping __post_init__, so a
+        # check moved out of it (into __new__, say) must fail here
+        with pytest.raises(QuadrangleError) as rejected:
+            cls(*values)
+        assert str(rejected.value) == reason
+        monkeypatch.setattr(cls, "__post_init__", lambda self, *args: None)
+        assert tuple(cls(*values)) == values
+
     @pytest.mark.parametrize("form", ["positional", "keyword", "make", "replace"])
     @pytest.mark.parametrize("record, keywords", [
         (AngleTuple(*SQUARE), {}),
